@@ -18,9 +18,14 @@ both yield identical, sieve-exact counts.  The uncorrected sum-from-1
 behavior stays reachable through ``literal=True`` so the off-by-one can be
 demonstrated and reported rather than silently hidden.
 
-Counting consumes S values segment by segment through two staggered
-windows (j and j + 2n), so memory is O(segment_size + 2n) rather than
-O(x).  All arithmetic is exact integers.
+Every count reads one stream of fixed-point flags S(j) = j for j in
+[1, x], taken segment by segment from :func:`kempner.table.iter_segments`.
+A pair counter carries the last 2n flags from one segment to the next, so
+memory is O(segment_size + 2n) rather than O(x) and one pass serves any
+number of gaps and readings.  The readings differ only in the flag at
+j = 1: it is unset in both default readings (S(1) = 0, or the sum starts
+at j = 2) and set in the literal one, where S(1) = 1 and the sum starts at
+j = 1.  All arithmetic is exact integers.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 
 from .core import Convention, _as_u64
 from .oracle import oracle_pair_count, oracle_pi
-from .table import DEFAULT_SEGMENT_SIZE, s_range
+from .table import DEFAULT_SEGMENT_SIZE, iter_segments, s_range
 
 __all__ = [
     "CountReport",
@@ -113,34 +118,72 @@ def pair_term_fast(j: int, half_gap: int, s_j: int, s_j2n: int) -> int:
     return 1 if (s_j == j and s_j2n == j + 2 * half_gap) else 0
 
 
-def _fixed_point_pair_sum(
-    x: int,
-    half_gap: int,
-    conv: Convention,
-    literal: bool,
-    segment_size: int,
-    threads: int,
-) -> tuple[int, int]:
-    """Sum of pair terms for j from the convention's start up to x - 2n.
+class _Tally:
+    """Fixed points (gap 0) or pairs (j, j + gap) of fixed points, counted as
+    the flag segments of [1, x] stream past, each hit at its larger member.
 
-    Returns (total, terms_evaluated).  Uses the fixed-point equality form
-    of the summand on streamed s_range segments.
+    The last ``gap`` flags carry from one segment to the next, so a segment
+    may be shorter than the gap; no j <= 0 is a fixed point.  ``one`` is the
+    flag at j = 1 in this reading.  ``counts[i]`` is the number of hits up to
+    ``xs[i]`` (xs ascending).
     """
-    gap = 2 * half_gap
-    start = 1 if literal else conv.sum_start
-    table_conv = Convention.PAPER_LITERAL if literal else conv
-    top = x - gap
-    if top < start:
-        return 0, 0
-    total = 0
-    a = start
-    while a <= top:
-        b = min(a + segment_size - 1, top)
-        window = s_range(a, b + gap, table_conv, segment_size=segment_size, threads=threads)
-        fixed = window.values == np.arange(a, b + gap + 1, dtype=np.uint64)
-        total += int(np.count_nonzero(fixed[: b - a + 1] & fixed[gap:]))
-        a = b + 1
-    return total, top - start + 1
+
+    def __init__(self, gap: int, one: bool, xs: np.ndarray) -> None:
+        self.one, self.xs = one, xs
+        self.tail = np.zeros(gap, dtype=bool)
+        self.counts = np.zeros(xs.size, dtype=np.int64)
+        self.seen = 0
+
+    def feed(self, a: int, flags: np.ndarray) -> None:
+        if a == 1:
+            flags = flags.copy()
+            flags[0] = self.one
+        both = np.concatenate((self.tail, flags))
+        hits = np.flatnonzero(both[: flags.size] & flags) + a
+        self.tail = both[flags.size :]
+        lo, hi = np.searchsorted(self.xs, (a, a + flags.size))
+        self.counts[lo:hi] = self.seen + np.searchsorted(hits, self.xs[lo:hi], side="right")
+        self.seen += hits.size
+
+
+def _stream(x: int, tallies: list[_Tally], segment_size: int, threads: int) -> None:
+    """Feed every tally the fixed-point flags of j in [1, x] from one pass over S."""
+    if x < 1:
+        return
+    for a, values in iter_segments(1, x, segment_size=segment_size, threads=threads):
+        flags = values == np.arange(a, a + values.size, dtype=np.uint64)
+        for tally in tallies:
+            tally.feed(a, flags)
+
+
+def _four_hits(gap: int, x):
+    """Hits of the composite fixed point 4, alone (gap 0) or as (2, 4): 1 once x >= 4."""
+    return (gap <= 2) * (np.asarray(x) >= 4)
+
+
+def _count(
+    x: int, gap: int, literal: bool, start: int, oracle, segment_size: int, threads: int
+) -> CountReport:
+    """The count at one x (gap 0 counts primes), read from :func:`sample_counts`."""
+    started = perf_counter()
+    counts = sample_counts(
+        np.array([x]), [gap], (literal,), segment_size=segment_size, threads=threads
+    )
+    return CountReport(
+        formula_count=int(counts[0, 0, 0]),
+        oracle_count=oracle() if oracle else None,
+        correction_applied=-int(_four_hits(gap, x)),
+        terms_evaluated=max(0, x - gap - start + 1),
+        elapsed=perf_counter() - started,
+    )
+
+
+def _count_pairs(
+    query: PairCountQuery, verify: bool, literal: bool, segment_size: int, threads: int
+) -> CountReport:
+    oracle = (lambda: oracle_pair_count(query.x, query.half_gap)) if verify else None
+    start = 1 if literal else query.conv.sum_start
+    return _count(query.x, query.gap, literal, start, oracle, segment_size, threads)
 
 
 def count_twin(
@@ -160,18 +203,8 @@ def count_twin(
     from j = 1 with S(1) = 1, which overcounts by the documented j = 1
     anomaly; counts then exceed the sieve by 1 for every x >= 3.
     """
-    started = perf_counter()
-    x = _as_u64(x, "x")
-    total, terms = _fixed_point_pair_sum(x, 1, conv, literal, segment_size, threads)
-    correction = -1 if x >= 4 else 0
-    oracle = oracle_pair_count(x, 1) if verify else None
-    return CountReport(
-        formula_count=total + correction,
-        oracle_count=oracle,
-        correction_applied=correction,
-        terms_evaluated=terms,
-        elapsed=perf_counter() - started,
-    )
+    query = PairCountQuery(x, 1, conv)
+    return _count_pairs(query, verify, literal, segment_size, threads)
 
 
 def count_pairs(
@@ -186,32 +219,11 @@ def count_pairs(
 
     For half_gap >= 2 no correction term is needed: among j >= 2 the only
     fixed-point pair that is not a prime pair is (2, 4), which requires
-    gap 2.  half_gap = 1 delegates to :func:`count_twin`.  With
-    ``literal=True`` the j = 1 term is included under S(1) = 1 and
-    overcounts by one whenever 2n + 1 is prime; that mode exists to be
-    reported, not corrected.
+    gap 2; half_gap = 1 is :func:`count_twin`.  With ``literal=True`` the
+    j = 1 term is included under S(1) = 1 and overcounts by one whenever
+    2n + 1 is prime; that mode exists to be reported, not corrected.
     """
-    if query.half_gap == 1:
-        return count_twin(
-            query.x,
-            query.conv,
-            verify=verify,
-            literal=literal,
-            segment_size=segment_size,
-            threads=threads,
-        )
-    started = perf_counter()
-    total, terms = _fixed_point_pair_sum(
-        query.x, query.half_gap, query.conv, literal, segment_size, threads
-    )
-    oracle = oracle_pair_count(query.x, query.half_gap) if verify else None
-    return CountReport(
-        formula_count=total,
-        oracle_count=oracle,
-        correction_applied=0,
-        terms_evaluated=terms,
-        elapsed=perf_counter() - started,
-    )
+    return _count_pairs(query, verify, literal, segment_size, threads)
 
 
 def count_primes(
@@ -229,25 +241,9 @@ def count_primes(
     hit as soon as it is in range.  The convention never affects the result
     since the sum starts at j = 2.
     """
-    started = perf_counter()
     x = _as_u64(x, "x")
-    total = 0
-    a = 2
-    while a <= x:
-        b = min(a + segment_size - 1, x)
-        window = s_range(a, b, conv, segment_size=segment_size, threads=threads)
-        fixed = window.values == np.arange(a, b + 1, dtype=np.uint64)
-        total += int(np.count_nonzero(fixed))
-        a = b + 1
-    correction = -1 if x >= 4 else 0
-    oracle = oracle_pi(x) if verify else None
-    return CountReport(
-        formula_count=total + correction,
-        oracle_count=oracle,
-        correction_applied=correction,
-        terms_evaluated=max(0, x - 1),
-        elapsed=perf_counter() - started,
-    )
+    oracle = (lambda: oracle_pi(x)) if verify else None
+    return _count(x, 0, False, 2, oracle, segment_size, threads)
 
 
 def trace_terms(
@@ -278,21 +274,14 @@ def trace_terms(
     return rows
 
 
-def _fixed_point_flags(max_x: int, conv: Convention) -> np.ndarray:
-    """Boolean S(j) = j for j in [1, max_x] (index j - 1)."""
-    table = s_range(1, max_x, conv)
-    return table.values == np.arange(1, max_x + 1, dtype=np.uint64)
-
-
 def twin_count_sweep(
-    max_x: int, conv: Convention = Convention.FORMULA_CONSISTENT, literal: bool = False
+    max_x: int, conv: Convention = Convention.FORMULA_CONSISTENT, literal: bool = False, **stream
 ) -> np.ndarray:
-    """count_twin(x) for every x in [0, max_x] in one pass.
+    """count_twin(x) for every x in [0, max_x] in one pass (see pair_count_sweep).
 
-    Computes the S table once and reuses prefix sums of the term array;
-    equivalent to calling :func:`count_twin` at each x (property-tested).
+    Equivalent to calling :func:`count_twin` at each x (property-tested).
     """
-    return pair_count_sweep(max_x, 1, conv, literal)
+    return pair_count_sweep(max_x, 1, conv, literal, **stream)
 
 
 def pair_count_sweep(
@@ -300,37 +289,46 @@ def pair_count_sweep(
     half_gap: int,
     conv: Convention = Convention.FORMULA_CONSISTENT,
     literal: bool = False,
+    *,
+    segment_size: int = DEFAULT_SEGMENT_SIZE,
+    threads: int = 1,
 ) -> np.ndarray:
-    """count_pairs(x, n) for every x in [0, max_x] via shared prefix sums."""
-    max_x = _as_u64(max_x, "max_x")
-    half_gap = _as_u64(half_gap, "half_gap", minimum=1)
-    gap = 2 * half_gap
-    xs = np.arange(max_x + 1, dtype=np.int64)
-    if max_x < gap + 1:
-        # No j fits the summation range and the (2, 4) correction needs x >= 4.
-        return np.zeros(max_x + 1, dtype=np.int64)
-    correction = (
-        (xs >= 4).astype(np.int64) if half_gap == 1 else np.zeros(max_x + 1, np.int64)
-    )
-    start = 1 if literal else conv.sum_start
-    flags = _fixed_point_flags(max_x, Convention.PAPER_LITERAL if literal else conv)
-    terms = (flags[:-gap] & flags[gap:]).astype(np.int64)  # index i: j = i + 1
-    if start > 1:
-        terms[: start - 1] = 0
-    prefix = np.concatenate(([0], np.cumsum(terms)))  # prefix[k] = sum over j <= k
-    return prefix[np.clip(xs - gap, 0, None)] - correction
+    """count_pairs(x, n) for every x in [0, max_x], from one pass over S; ``conv`` is unused."""
+    xs = np.arange(_as_u64(max_x, "max_x") + 1, dtype=np.int64)
+    gap = 2 * _as_u64(half_gap, "half_gap", minimum=1)
+    return sample_counts(xs, [gap], (literal,), segment_size=segment_size, threads=threads)[0, 0]
 
 
 def prime_count_sweep(
-    max_x: int, conv: Convention = Convention.FORMULA_CONSISTENT
+    max_x: int,
+    conv: Convention = Convention.FORMULA_CONSISTENT,
+    *,
+    segment_size: int = DEFAULT_SEGMENT_SIZE,
+    threads: int = 1,
 ) -> np.ndarray:
-    """count_primes(x) for every x in [0, max_x] via one prefix sum."""
-    max_x = _as_u64(max_x, "max_x")
-    xs = np.arange(max_x + 1, dtype=np.int64)
-    correction = (xs >= 4).astype(np.int64)
-    if max_x < 2:
-        return np.zeros(max_x + 1, dtype=np.int64)
-    indicator = _fixed_point_flags(max_x, conv).astype(np.int64)
-    indicator[0] = 0  # the sum starts at j = 2 under every convention
-    prefix = np.concatenate(([0], np.cumsum(indicator)))
-    return prefix[xs] - correction
+    """count_primes(x) for every x in [0, max_x], from one pass over S; ``conv`` is unused."""
+    xs = np.arange(_as_u64(max_x, "max_x") + 1, dtype=np.int64)
+    return sample_counts(xs, [0], (False,), segment_size=segment_size, threads=threads)[0, 0]
+
+
+def sample_counts(
+    xs: np.ndarray,
+    gaps: list[int],
+    literal: tuple[bool, ...] = (False, True),
+    *,
+    segment_size: int = DEFAULT_SEGMENT_SIZE,
+    threads: int = 1,
+) -> np.ndarray:
+    """Counts at ascending sample points for several gaps and readings, from one pass over S.
+
+    ``counts[r, k, i]`` is the count at x = xs[i] of gap 2n = gaps[k] pairs
+    under reading literal[r], as :func:`pair_count_sweep` gives it; gap 0
+    counts primes as :func:`prime_count_sweep` does.  Each reading runs the
+    same sums over the same flags, the literal one with the flag at j = 1 set.
+    """
+    xs = np.asarray(xs, dtype=np.int64)
+    tallies = [_Tally(gap, one, xs) for one in literal for gap in gaps]
+    _stream(int(xs[-1]) if xs.size else 0, tallies, segment_size, threads)
+    counts = np.array([t.counts for t in tallies]).reshape(len(literal), len(gaps), -1)
+    counts -= np.array([_four_hits(gap, xs) for gap in gaps]).reshape(counts.shape[1:])
+    return counts

@@ -38,10 +38,30 @@ def _echo_rows(header: str, rows) -> None:
         click.echo(",".join(str(cell) for cell in row))
 
 
+def _echo_count(header: str, cells: tuple, report: census.CountReport, verify: bool) -> None:
+    """The one-row CSV of a count, with the oracle columns in verify mode."""
+    if verify:
+        cells += (report.formula_count, report.oracle_count, _bool_str(report.matches))
+        _echo_rows(header + ",oracle,match", [cells])
+    else:
+        _echo_rows(header, [(*cells, report.formula_count)])
+
+
 def _positive_check(name: str, value: int, minimum: int) -> int:
     if value < minimum:
         raise click.BadParameter(f"{name} must be >= {minimum}", param_hint=name)
     return value
+
+
+def _check_x(x: int, verify: bool, name: str = "x") -> None:
+    """Reject a negative x and, before any work, an x to be verified whose
+    oracle sieve would pass the bitset cap."""
+    _positive_check(name, x, 0)
+    if verify:
+        try:
+            oracle.check_limit(x)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc), param_hint=name)
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -54,14 +74,14 @@ def _parse_window(text: str) -> tuple[int, int]:
 
 _threads_option = click.option(
     "--threads",
-    type=int,
+    type=click.IntRange(min=1),
     default=lambda: os.cpu_count() or 1,
     show_default="available cores",
-    help="Worker threads for segment processing; 1 gives identical output.",
+    help="Threads that fill the segments; output is the same for any count.",
 )
 _segment_option = click.option(
     "--segment-size",
-    type=int,
+    type=click.IntRange(min=1),
     default=DEFAULT_SEGMENT_SIZE,
     show_default=True,
     help="Entries per processing segment.",
@@ -110,17 +130,11 @@ def cmd_s(n: int, convention: str, kernel: str) -> None:
 @_threads_option
 def twins(x: int, verify: bool, trace_window: str | None, segment_size: int, threads: int) -> None:
     """Count twin prime pairs (p, p+2) with p+2 <= X."""
-    _positive_check("x", x, 0)
+    _check_x(x, verify)
     report = census.count_twin(
         x, verify=verify, segment_size=segment_size, threads=threads
     )
-    if verify:
-        _echo_rows(
-            "x,t2,oracle,match",
-            [(x, report.formula_count, report.oracle_count, _bool_str(report.matches))],
-        )
-    else:
-        _echo_rows("x,t2", [(x, report.formula_count)])
+    _echo_count("x,t2", (x,), report, verify)
     if trace_window is not None:
         lo, hi = _parse_window(trace_window)
         try:
@@ -140,7 +154,7 @@ def twins(x: int, verify: bool, trace_window: str | None, segment_size: int, thr
 @_threads_option
 def pairs(x: int, gap: int, verify: bool, segment_size: int, threads: int) -> None:
     """Count prime pairs (p, p+GAP) with p+GAP <= X."""
-    _positive_check("x", x, 0)
+    _check_x(x, verify)
     if gap < 2 or gap % 2:
         raise click.BadParameter("gap must be an even integer >= 2", param_hint="--gap")
     report = census.count_pairs(
@@ -149,13 +163,7 @@ def pairs(x: int, gap: int, verify: bool, segment_size: int, threads: int) -> No
         segment_size=segment_size,
         threads=threads,
     )
-    if verify:
-        _echo_rows(
-            "x,gap,count,oracle,match",
-            [(x, gap, report.formula_count, report.oracle_count, _bool_str(report.matches))],
-        )
-    else:
-        _echo_rows("x,gap,count", [(x, gap, report.formula_count)])
+    _echo_count("x,gap,count", (x, gap), report, verify)
     if verify and not report.matches:
         sys.exit(_EXIT_MISMATCH)
 
@@ -167,17 +175,11 @@ def pairs(x: int, gap: int, verify: bool, segment_size: int, threads: int) -> No
 @_threads_option
 def cmd_pi(x: int, verify: bool, segment_size: int, threads: int) -> None:
     """Count primes <= X via the S-indicator sum."""
-    _positive_check("x", x, 0)
+    _check_x(x, verify)
     report = census.count_primes(
         x, verify=verify, segment_size=segment_size, threads=threads
     )
-    if verify:
-        _echo_rows(
-            "x,pi,oracle,match",
-            [(x, report.formula_count, report.oracle_count, _bool_str(report.matches))],
-        )
-    else:
-        _echo_rows("x,pi", [(x, report.formula_count)])
+    _echo_count("x,pi", (x,), report, verify)
     if verify and not report.matches:
         sys.exit(_EXIT_MISMATCH)
 
@@ -258,7 +260,7 @@ def verify(max_x: int, gaps: str, step: int, segment_size: int, threads: int) ->
     and reports (without failing) the x where it departs from the sieve;
     runs of consecutive sampled x with one delta compress to a single row.
     """
-    _positive_check("--max-x", max_x, 0)
+    _check_x(max_x, True, "--max-x")
     _positive_check("--step", step, 1)
     gap_list = []
     for piece in gaps.split(","):
@@ -278,24 +280,21 @@ def verify(max_x: int, gaps: str, step: int, segment_size: int, threads: int) ->
     xs = np.arange(2, max_x + 1, step, dtype=np.int64)
     if max_x >= 2 and (xs.size == 0 or xs[-1] != max_x):
         xs = np.append(xs, max_x)
-    sieve = oracle.sieve_primes(max_x) if max_x >= 0 else None
+    sieve = oracle.sieve_primes(max_x)
+    # One pass over S gives every gap under both readings at the sampled x.
+    formula, literal = census.sample_counts(
+        xs, gap_list, segment_size=segment_size, threads=threads
+    )
 
     mismatches: list[tuple[int, int, int, int]] = []
     literal_rows: list[tuple[int, int, int, int]] = []
     summary_rows = []
-    for g in gap_list:
-        half = g // 2
-        formula = census.pair_count_sweep(max_x, half)
-        truth = oracle.pair_count_sweep(max_x, half, sieve)
-        bad = xs[formula[xs] != truth[xs]]
+    for g, formula_g, literal_g in zip(gap_list, formula, literal):
+        truth = oracle.pair_count_sweep(max_x, g // 2, sieve)[xs]
+        bad = np.flatnonzero(formula_g != truth)
         summary_rows.append((g, xs.size, bad.size))
-        mismatches += [
-            (g, int(x), int(formula[x]), int(truth[x])) for x in bad
-        ]
-        literal = census.pair_count_sweep(max_x, half, literal=True)
-        delta = literal[xs] - truth[xs]
-        for lo_i, hi_i, d in _runs(xs, delta):
-            literal_rows.append((g, lo_i, hi_i, d))
+        mismatches += [(g, int(xs[i]), int(formula_g[i]), int(truth[i])) for i in bad]
+        literal_rows += [(g, *run) for run in _runs(xs, literal_g - truth)]
 
     _echo_rows("gap,x_checked,mismatches", summary_rows)
     if mismatches:

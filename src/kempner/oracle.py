@@ -90,6 +90,15 @@ def _simple_odd_primes(limit: int) -> list[int]:
     return [int(p) for p in np.flatnonzero(flags) if p % 2]
 
 
+def check_limit(limit: int, max_bytes: int = DEFAULT_BITSET_CAP) -> None:
+    """Raise ValueError when a sieve to limit would need more than max_bytes of flags."""
+    packed = ((limit + 1) // 2 + 7) // 8
+    if packed > max_bytes:
+        raise ValueError(
+            f"sieve to {limit} needs {packed} bitset bytes, over the cap of {max_bytes}"
+        )
+
+
 def sieve_primes(
     limit: int,
     max_bytes: int = DEFAULT_BITSET_CAP,
@@ -101,12 +110,8 @@ def sieve_primes(
     memory beyond the bitset is one bool segment plus the base primes.
     """
     limit = _as_u64(limit, "limit")
+    check_limit(limit, max_bytes)
     n_odd = (limit + 1) // 2
-    packed = (n_odd + 7) // 8
-    if packed > max_bytes:
-        raise ValueError(
-            f"sieve to {limit} needs {packed} bitset bytes, over the cap of {max_bytes}"
-        )
     # Segments pack independently, so keep them byte-aligned in bit count.
     segment_size = max(8, segment_size - segment_size % 8)
     base = _simple_odd_primes(isqrt(limit))

@@ -3,7 +3,11 @@
 The range kernel divides every j in a segment by the primes p <= sqrt(hi),
 accumulating the exponent of each and the matching prime-power value of S;
 whatever remains of j after the sweep is itself prime and is its own
-candidate.  Memory stays at O(segment_size + pi(sqrt(hi))).
+candidate.  ``iter_segments`` is the one source of S values: it yields the
+segments of a range in order, sieving the base primes once.  ``s_range``
+has it write whole segments into one table, in parallel across the threads;
+the counters in :mod:`kempner.census` consume them one at a time in
+O(segment_size + pi(sqrt(hi))) memory, the threads splitting each segment.
 
 Cache files are little-endian:
 
@@ -21,6 +25,7 @@ import operator
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from math import isqrt
 
@@ -121,8 +126,18 @@ class STable:
         return cls(lo, hi, _CONV_FROM_CODE[conv_code], values)
 
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+        """Write the cache file atomically: a temp file in the same directory,
+        then ``os.replace``, so a failed write leaves any existing file intact."""
+        blob = self.to_bytes()
+        tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
+        fh = open(tmp, "xb")
+        try:
+            with fh:
+                fh.write(blob)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "STable":
@@ -188,6 +203,67 @@ def _fill_segment(dest: np.ndarray, a: int, b: int, base: np.ndarray) -> None:
     np.maximum(dest, residual, where=residual > 1, out=dest)
 
 
+def iter_segments(
+    lo: int,
+    hi: int,
+    conv: Convention = Convention.PAPER_LITERAL,
+    segment_size: int = DEFAULT_SEGMENT_SIZE,
+    threads: int = 1,
+    out: np.ndarray | None = None,
+):
+    """Yield (a, values) with values[i] = S(a + i), segment by segment over [lo, hi] in order.
+
+    The base primes are sieved once per call and at most one thread pool is
+    opened; the values do not depend on the thread count.  Without ``out``,
+    ``values`` is a view of one buffer that the next segment overwrites, and
+    threads > 1 fill disjoint sub-spans of each segment, so no segment is
+    computed ahead of its consumer.  With ``out`` (indexed by j - lo) every
+    segment keeps its own slice, so whole segments run in parallel.
+    """
+    lo = _as_u64(lo, "lo", minimum=1)
+    hi = _as_u64(hi, "hi", minimum=lo)
+    segment_size = operator.index(segment_size)
+    if segment_size < 1:
+        raise ValueError(f"segment_size must be >= 1 (got {segment_size})")
+    threads = max(1, int(threads))
+    base = _small_primes(isqrt(hi))
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
+        if out is None:
+            segments = _split_segments(lo, hi, segment_size, threads, base, run)
+        else:
+            segments = _whole_segments(out, lo, hi, segment_size, base, run)
+        for a, values in segments:
+            if a == 1:
+                values[0] = conv.s_of_one
+            yield a, values
+
+
+def _whole_segments(out: np.ndarray, lo: int, hi: int, segment_size: int, base, run):
+    """Fill each segment into its own slice of out, whole segments in parallel."""
+    spans = [(a, min(a + segment_size - 1, hi)) for a in range(lo, hi + 1, segment_size)]
+    fill = lambda span: _fill_segment(  # noqa: E731
+        out[span[0] - lo : span[1] - lo + 1], *span, base
+    )
+    for (a, b), _ in zip(spans, run(fill, spans)):
+        yield a, out[a - lo : b - lo + 1]
+
+
+def _split_segments(lo: int, hi: int, segment_size: int, threads: int, base, run):
+    """Fill one reused buffer per segment, the threads taking disjoint sub-spans."""
+    buffer = np.empty(min(segment_size, hi - lo + 1), np.uint64)
+    for a in range(lo, hi + 1, segment_size):
+        b = min(a + segment_size - 1, hi)
+        values = buffer[: b - a + 1]
+        step = -(-(b - a + 1) // threads)
+        spans = [(c, min(c + step - 1, b)) for c in range(a, b + 1, step)]
+        fill = lambda span: _fill_segment(  # noqa: E731
+            values[span[0] - a : span[1] - a + 1], *span, base
+        )
+        list(run(fill, spans))
+        yield a, values
+
+
 def s_range(
     lo: int,
     hi: int,
@@ -197,35 +273,15 @@ def s_range(
 ) -> STable:
     """Compute S(j) for every j in [lo, hi] by segmented sieving.
 
-    Disjoint segments may be handed to worker threads; the result is
-    bit-identical to the sequential one regardless of thread count, because
-    each segment writes a disjoint slice and contains no data-dependent
-    ordering.
+    The segments of :func:`iter_segments` are written in place into the
+    returned table; the result is bit-identical for every thread count and
+    segment size.
     """
     lo = _as_u64(lo, "lo", minimum=1)
     hi = _as_u64(hi, "hi", minimum=lo)
-    segment_size = operator.index(segment_size)
-    if segment_size < 1:
-        raise ValueError(f"segment_size must be >= 1 (got {segment_size})")
-    threads = max(1, int(threads))
     out = np.empty(hi - lo + 1, dtype=np.uint64)
-    base = _small_primes(isqrt(hi))
-    spans = [(a, min(a + segment_size - 1, hi)) for a in range(lo, hi + 1, segment_size)]
-    if threads == 1 or len(spans) == 1:
-        for a, b in spans:
-            _fill_segment(out[a - lo : b - lo + 1], a, b, base)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(
-                pool.map(
-                    lambda span: _fill_segment(
-                        out[span[0] - lo : span[1] - lo + 1], span[0], span[1], base
-                    ),
-                    spans,
-                )
-            )
-    if lo == 1:
-        out[0] = conv.s_of_one
+    for _ in iter_segments(lo, hi, conv, segment_size, threads, out):
+        pass
     return STable(lo, hi, conv, out)
 
 

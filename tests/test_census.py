@@ -4,7 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kempner import table
 from kempner.census import (
     PairCountQuery,
     count_pairs,
@@ -289,3 +292,53 @@ def test_query_validation_and_gap():
     assert q.gap == 6
     with pytest.raises(ValueError):
         PairCountQuery(-1, 1)
+
+
+# --- invariance over segment size and thread count ------------------------------
+
+
+@st.composite
+def _stream_settings(draw):
+    """A gap, an x, and a segment size from {1, gap - 1, gap, gap + 1, drawn}."""
+    half_gap = draw(st.integers(1, 8))
+    gap = 2 * half_gap
+    segment = draw(st.sampled_from([1, max(1, gap - 1), gap, gap + 1, draw(st.integers(1, 400))]))
+    return draw(st.integers(0, 700)), half_gap, segment, draw(st.sampled_from([1, 2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stream_settings(), st.sampled_from([PAPER, FORMULA]), st.booleans())
+def test_counts_do_not_depend_on_segment_size_or_threads(case, conv, literal):
+    # A segment shorter than the gap makes the carried flags span several segments.
+    x, half_gap, segment_size, threads = case
+    stream = dict(segment_size=segment_size, threads=threads)
+    query = PairCountQuery(x, half_gap, conv)
+    got = count_pairs(query, literal=literal, **stream)
+    want = count_pairs(query, literal=literal)
+    assert (got.formula_count, got.terms_evaluated) == (want.formula_count, want.terms_evaluated)
+    assert count_twin(x, conv, literal=literal, **stream).formula_count == count_twin(
+        x, conv, literal=literal
+    ).formula_count
+    assert count_primes(x, conv, **stream).formula_count == count_primes(x, conv).formula_count
+    np.testing.assert_array_equal(
+        pair_count_sweep(x, half_gap, conv, literal, **stream),
+        pair_count_sweep(x, half_gap, conv, literal),
+    )
+    np.testing.assert_array_equal(prime_count_sweep(x, conv, **stream), prime_count_sweep(x))
+
+
+def test_one_pass_sieves_base_primes_once_and_opens_one_pool(monkeypatch):
+    calls = {"base primes": 0, "pools": 0}
+    small_primes, pool = table._small_primes, table.ThreadPoolExecutor
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(table, "_small_primes", counted("base primes", small_primes))
+    monkeypatch.setattr(table, "ThreadPoolExecutor", counted("pools", pool))
+    assert count_twin(5000, segment_size=64, threads=2).formula_count == 126
+    assert calls == {"base primes": 1, "pools": 1}

@@ -2,7 +2,10 @@
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kempner import census, table
 from kempner.cli import main
 from kempner.table import STable
 
@@ -261,3 +264,51 @@ def test_verify_numbers_reproducible_from_library(runner):
     gap, x_from, x_to, delta = map(int, lines[lines.index("literal_gap,x_from,x_to,delta") + 1].split(","))
     for x in (x_from, (x_from + x_to) // 2, x_to):
         assert literal[x] - truth[x] == delta
+
+
+# --- usage errors ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", [["twins", "1000"], ["pairs", "1000", "--gap", "4"],
+                                     ["pi", "1000"], ["table", "1", "10"],
+                                     ["verify", "--max-x", "100"], ["bench", "--max-x", "10"]])
+@pytest.mark.parametrize("option", ["--segment-size", "--threads"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_segment_and_thread_values_below_one_are_usage_errors(runner, command, option, value):
+    result = runner.invoke(main, command + [option, value])
+    assert result.exit_code == 2
+    assert f"Invalid value for '{option}'" in result.output
+
+
+@pytest.mark.parametrize("command", [["verify", "--max-x", "5000000000"],
+                                     ["twins", "5000000000", "--verify"],
+                                     ["pairs", "5000000000", "--gap", "6", "--verify"],
+                                     ["pi", "5000000000", "--verify"]])
+def test_oracle_cap_rejected_before_any_work(runner, monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the oracle cap was checked")
+
+    monkeypatch.setattr(table, "_small_primes", no_work)
+    monkeypatch.setattr(census, "iter_segments", no_work)
+    result = runner.invoke(main, command)
+    assert result.exit_code == 2
+    assert "over the cap" in result.output
+
+
+# --- thread count and segment size --------------------------------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2500), st.lists(st.sampled_from([2, 4, 6, 8, 10, 12, 14]), min_size=1,
+                                      max_size=3, unique=True),
+       st.integers(1, 40), st.sampled_from([1, 2]), st.integers(1, 300))
+def test_verify_output_does_not_depend_on_threads_or_segment_size(max_x, gaps, step, threads,
+                                                                  segment_size):
+    runner = CliRunner()
+    args = ["verify", "--max-x", str(max_x), "--gaps", ",".join(map(str, gaps)),
+            "--step", str(step)]
+    base = runner.invoke(main, args + ["--threads", "1"])
+    other = runner.invoke(main, args + ["--threads", str(threads),
+                                        "--segment-size", str(segment_size)])
+    assert base.exit_code == other.exit_code == 0
+    assert other.output == base.output

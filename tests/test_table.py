@@ -1,10 +1,13 @@
 """Range kernel and cache format: equivalence, determinism, serialization."""
 
+import errno
+import os
 import random
 
 import numpy as np
 import pytest
 
+from kempner import table
 from kempner.core import Convention, s
 from kempner.table import CacheFormatError, STable, fnv1a64, s_range
 
@@ -173,3 +176,35 @@ def test_rejects_truncation():
         STable.from_bytes(blob[:-3])
     with pytest.raises(CacheFormatError):
         STable.from_bytes(blob[:10])
+
+
+def test_failed_save_keeps_existing_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "window.skt"
+    s_range(1, 50).save(path)
+    before = path.read_bytes()
+
+    class DiskFull:
+        """A file that takes half of the first write, then runs out of space."""
+
+        def __init__(self, *args):
+            self.fh = open(*args)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(table, "open", DiskFull, raising=False)
+    with pytest.raises(OSError):
+        s_range(1, 500).save(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["window.skt"]
+    s_range(1, 500).save(path)
+    assert len(STable.load(path)) == 500
