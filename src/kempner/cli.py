@@ -27,6 +27,10 @@ _CONVENTIONS = {
 _EXIT_MISMATCH = 1
 _EXIT_IO = 3
 
+# Largest sampled x grid `verify` accepts.  Its arrays take about 30 bytes
+# per point and gap, so about 30 MiB per gap at the limit.
+MAX_VERIFY_POINTS = 1 << 20
+
 
 def _bool_str(flag: bool) -> str:
     return "true" if flag else "false"
@@ -277,20 +281,27 @@ def verify(max_x: int, gaps: str, step: int, segment_size: int, threads: int) ->
     if not gap_list:
         raise click.BadParameter("no gaps given", param_hint="--gaps")
 
+    grid = range(2, max_x + 1, step)
+    add_max_x = bool(grid) and grid[-1] != max_x
+    if len(grid) + add_max_x > MAX_VERIFY_POINTS:
+        raise click.BadParameter(
+            f"the sampled x grid has {len(grid) + add_max_x} points, over the "
+            f"limit of {MAX_VERIFY_POINTS}; raise --step",
+            param_hint="--step",
+        )
     xs = np.arange(2, max_x + 1, step, dtype=np.int64)
-    if max_x >= 2 and (xs.size == 0 or xs[-1] != max_x):
+    if add_max_x:
         xs = np.append(xs, max_x)
-    sieve = oracle.sieve_primes(max_x)
     # One pass over S gives every gap under both readings at the sampled x.
     formula, literal = census.sample_counts(
         xs, gap_list, segment_size=segment_size, threads=threads
     )
+    truths = oracle.pair_counts_at(xs, gap_list)
 
     mismatches: list[tuple[int, int, int, int]] = []
     literal_rows: list[tuple[int, int, int, int]] = []
     summary_rows = []
-    for g, formula_g, literal_g in zip(gap_list, formula, literal):
-        truth = oracle.pair_count_sweep(max_x, g // 2, sieve)[xs]
+    for g, formula_g, literal_g, truth in zip(gap_list, formula, literal, truths):
         bad = np.flatnonzero(formula_g != truth)
         summary_rows.append((g, xs.size, bad.size))
         mismatches += [(g, int(xs[i]), int(formula_g[i]), int(truth[i])) for i in bad]

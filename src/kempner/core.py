@@ -235,7 +235,7 @@ def legendre_valuation(m: int, p: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def s_prime_power(p: int, a: int) -> int:
     """Smallest m such that m! contains at least a factors of the prime p.
 

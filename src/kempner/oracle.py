@@ -22,6 +22,7 @@ __all__ = [
     "oracle_pi",
     "oracle_s",
     "pair_count_sweep",
+    "pair_counts_at",
     "pair_members",
     "pi_sweep",
     "sieve_primes",
@@ -157,13 +158,7 @@ def oracle_pair_count(x: int, half_gap: int, sieve: PrimeSieve | None = None) ->
     """Number of prime pairs (p, p + 2n) with p + 2n <= x, by sieve scan."""
     x = _as_u64(x, "x")
     half_gap = _as_u64(half_gap, "half_gap", minimum=1)
-    gap = 2 * half_gap
-    if x < gap + 2:
-        return 0
-    if sieve is None:
-        sieve = sieve_primes(x)
-    flags = sieve.flags(x)
-    return int(np.count_nonzero(flags[: x + 1 - gap] & flags[gap:]))
+    return int(pair_counts_at(np.array([x]), [2 * half_gap], sieve)[0, 0])
 
 
 def pair_members(x: int, half_gap: int, sieve: PrimeSieve | None = None) -> np.ndarray:
@@ -185,15 +180,30 @@ def pair_count_sweep(
     """Pair count for every x in [0, max_x] (pairs indexed by larger member)."""
     max_x = _as_u64(max_x, "max_x")
     half_gap = _as_u64(half_gap, "half_gap", minimum=1)
-    gap = 2 * half_gap
-    counts = np.zeros(max_x + 1, dtype=np.int64)
-    if max_x < gap + 2:
-        return counts
+    return pair_counts_at(np.arange(max_x + 1), [2 * half_gap], sieve)[0]
+
+
+def pair_counts_at(
+    xs: np.ndarray, gaps: list[int], sieve: PrimeSieve | None = None
+) -> np.ndarray:
+    """Pair counts at sampled x: ``counts[k, i]`` counts the prime pairs
+    (p, p + gaps[k]) with p + gaps[k] <= xs[i].
+
+    The sieve is unpacked once; each gap costs one scan of the flags for
+    its pairs and one binary search per sampled x.
+    """
+    xs = np.asarray(xs, dtype=np.int64)
+    max_x = _as_u64(int(xs.max()) if xs.size else 0, "max(xs)")
     if sieve is None:
         sieve = sieve_primes(max_x)
     flags = sieve.flags(max_x)
-    paired = flags[: max_x + 1 - gap] & flags[gap:]  # index i: larger member i + gap
-    counts[gap:] = np.cumsum(paired, dtype=np.int64)
+    counts = np.empty((len(gaps), xs.size), dtype=np.int64)
+    for k, gap in enumerate(gaps):
+        gap = _as_u64(gap, "gap", minimum=2)
+        if gap % 2:
+            raise ValueError(f"gap must be even (got {gap})")
+        larger = np.flatnonzero(flags[:-gap] & flags[gap:]) + gap
+        counts[k] = np.searchsorted(larger, xs, side="right")
     return counts
 
 

@@ -1,13 +1,16 @@
 """Dense S tables: a segmented range kernel and a checksummed cache format.
 
-The range kernel divides every j in a segment by the primes p <= sqrt(hi),
-accumulating the exponent of each and the matching prime-power value of S;
-whatever remains of j after the sweep is itself prime and is its own
-candidate.  ``iter_segments`` is the one source of S values: it yields the
-segments of a range in order, sieving the base primes once.  ``s_range``
-has it write whole segments into one table, in parallel across the threads;
-the counters in :mod:`kempner.census` consume them one at a time in
-O(segment_size + pi(sqrt(hi))) memory, the threads splitting each segment.
+The range kernel divides nothing per prime.  For every base prime
+p <= sqrt(hi) and every power p^k in range it takes the strided view of the
+multiples of p^k in a segment, raises them to at least S(p^k), and
+multiplies p into a running product of the part of j over the base primes.
+One division of j by that product leaves a cofactor that is 1 or a prime
+above sqrt(hi), its own candidate.  ``iter_segments`` is the one source of
+S values: it yields the segments of a range in order, sieving the base
+primes once.  ``s_range`` has it write whole segments into one table, in
+parallel across the threads; the counters in :mod:`kempner.census` consume
+them one at a time in O(segment_size + pi(sqrt(hi))) memory, the threads
+splitting each segment.
 
 Cache files are little-endian:
 
@@ -157,49 +160,33 @@ def _small_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(flags)
 
 
-_LUT_CACHE: dict[int, np.ndarray] = {}
-
-
-def _prime_power_lut(p: int, max_exp: int) -> np.ndarray:
-    """lut[e] = S(p^e) for e in [1, max_exp] (lut[0] unused).
-
-    Worst case under concurrent segment workers is a duplicated build of
-    the same deterministic array, which is benign.
-    """
-    lut = _LUT_CACHE.get(p)
-    if lut is None or lut.shape[0] <= max_exp:
-        lut = np.array(
-            [0] + [s_prime_power(p, e) for e in range(1, max_exp + 1)],
-            dtype=np.uint64,
-        )
-        _LUT_CACHE[p] = lut
-    return lut
-
-
 def _fill_segment(dest: np.ndarray, a: int, b: int, base: np.ndarray) -> None:
-    """Compute S(j) for j in [a, b] into dest (dest aliases the output array)."""
-    residual = np.arange(a, b + 1, dtype=np.uint64)
-    dest[:] = 0
+    """Compute S(j) for j in [a, b] into dest (dest aliases the output array).
+
+    Every multiple of p^k in the segment takes the max with S(p^k), which
+    grows with k, so the highest power of p that divides j wins.  ``prod``
+    collects those powers, the part of j over the base primes; one division
+    leaves the cofactor, which is 1 or a single prime above sqrt(b).
+    """
     n = b - a + 1
+    dest[:] = 0
+    prod = np.ones(n, dtype=np.uint64)
     for p in base:
         p = int(p)
         if p * p > b:
             break
-        off = (-a) % p
-        if off >= n:
-            continue
-        chunk = residual[off::p]
-        chunk //= p
-        exp = np.ones(chunk.shape[0], dtype=np.int64)
-        live = np.flatnonzero(chunk % p == 0)
-        while live.size:
-            chunk[live] //= p
-            exp[live] += 1
-            live = live[chunk[live] % p == 0]
-        lut = _prime_power_lut(p, int(exp.max()))
-        best = dest[off::p]
-        np.maximum(best, lut[exp], out=best)
-    # Any cofactor still > 1 is a prime q > sqrt(b) appearing once: S-candidate q.
+        q, k = p, 1
+        while q <= b:
+            off = (-a) % q
+            if off >= n:
+                break
+            # S(p^k) = k*p while k <= p, which every p >= 17 meets below 2^64.
+            hits = dest[off::q]
+            np.maximum(hits, k * p if k <= p else s_prime_power(p, k), out=hits)
+            prod[off::q] *= p
+            q, k = q * p, k + 1
+    residual = np.arange(a, b + 1, dtype=np.uint64)
+    residual //= prod
     np.maximum(dest, residual, where=residual > 1, out=dest)
 
 

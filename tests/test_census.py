@@ -17,6 +17,7 @@ from kempner.census import (
     pair_term,
     pair_term_fast,
     prime_count_sweep,
+    sample_counts,
     trace_terms,
     twin_count_sweep,
 )
@@ -250,6 +251,22 @@ def test_sweeps_match_oracle(sieve_100k):
         formula = pair_count_sweep(4000, half_gap)
         truth = oracle_pair_sweep(4000, half_gap, sieve_100k)
         assert (formula == truth).all()
+
+
+# --- published constants: an anchor independent of the oracle sieve ------------
+
+
+@pytest.mark.parametrize(
+    "x, pi, twins",
+    [
+        (10**8, 5_761_455, 440_312),
+        pytest.param(10**9, 50_847_534, 3_424_506, marks=pytest.mark.slow),  # OEIS A007508
+    ],
+)
+def test_published_prime_and_twin_counts(x, pi, twins):
+    # 10^k - 1 is never prime, so "p <= x" and "p + 2 <= x" count the same pairs.
+    counts = sample_counts(np.array([x]), [0, 2], (False,))
+    assert counts.ravel().tolist() == [pi, twins]
 
 
 # --- the uncorrected sum-from-1 reading ---------------------------------------

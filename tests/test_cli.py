@@ -1,11 +1,12 @@
 """CLI surface: exact output bytes, exit codes, determinism."""
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kempner import census, table
+from kempner import census, cli, oracle, table
 from kempner.cli import main
 from kempner.table import STable
 
@@ -293,6 +294,26 @@ def test_oracle_cap_rejected_before_any_work(runner, monkeypatch, command):
     result = runner.invoke(main, command)
     assert result.exit_code == 2
     assert "over the cap" in result.output
+
+
+def test_oversized_verify_grid_rejected_before_any_work(runner, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the grid size was checked")
+
+    monkeypatch.setattr(np, "arange", no_work)
+    monkeypatch.setattr(oracle, "sieve_primes", no_work)
+    monkeypatch.setattr(census, "iter_segments", no_work)
+    result = runner.invoke(main, ["verify", "--max-x", "4000000000", "--step", "1"])
+    assert result.exit_code == 2
+    assert "sampled x grid" in result.output
+
+
+def test_verify_grid_limit_counts_the_forced_max_x(runner, monkeypatch):
+    args = ["verify", "--max-x", "1000", "--step", "100"]  # 2, 102, ..., 902 and 1000
+    monkeypatch.setattr(cli, "MAX_VERIFY_POINTS", 11)
+    assert runner.invoke(main, args).exit_code == 0
+    monkeypatch.setattr(cli, "MAX_VERIFY_POINTS", 10)
+    assert runner.invoke(main, args).exit_code == 2
 
 
 # --- thread count and segment size --------------------------------------------------

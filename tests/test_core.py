@@ -121,6 +121,10 @@ def test_s_prime_power_consistent_with_naive():
     assert s_prime_power(2, 4) == s_naive(16)
 
 
+def test_s_prime_power_cache_is_bounded():
+    assert s_prime_power.cache_info().maxsize is not None
+
+
 # --- is_prime ---------------------------------------------------------------
 
 

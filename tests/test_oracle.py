@@ -11,6 +11,7 @@ from kempner.oracle import (
     oracle_pi,
     oracle_s,
     pair_count_sweep,
+    pair_counts_at,
     pair_members,
     pi_sweep,
     sieve_primes,
@@ -99,6 +100,22 @@ def test_pair_sweep_matches_point_counts(sieve_100k):
         sweep = pair_count_sweep(4000, half_gap, sieve_100k)
         for x in (0, 5, 100, 1234, 4000):
             assert sweep[x] == oracle_pair_count(x, half_gap, sieve_100k)
+
+
+def test_pair_counts_at_sampled_x_match_point_counts(sieve_100k):
+    xs = np.array([0, 1, 5, 8, 100, 1234, 99_999, 4000, 7])  # any order
+    gaps = [2, 4, 6, 30, 200_000]
+    counts = pair_counts_at(xs, gaps, sieve_100k)
+    assert counts.shape == (len(gaps), xs.size)
+    for row, gap in zip(counts, gaps):
+        assert row.tolist() == [oracle_pair_count(int(x), gap // 2, sieve_100k) for x in xs]
+    assert pair_counts_at(np.array([], dtype=np.int64), [2]).shape == (1, 0)
+
+
+def test_pair_counts_at_rejects_odd_or_small_gaps(sieve_100k):
+    for gap in (0, 1, 3):
+        with pytest.raises(ValueError):
+            pair_counts_at(np.array([100]), [gap], sieve_100k)
 
 
 def test_oracle_s_examples():

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kempner import table
 from kempner.core import Convention, s
@@ -63,6 +65,43 @@ def test_thread_counts_give_identical_bytes():
     one = s_range(1, 300_000, PAPER, segment_size=1 << 15, threads=1)
     four = s_range(1, 300_000, PAPER, segment_size=1 << 15, threads=4)
     assert one.to_bytes() == four.to_bytes()
+
+
+# Windows around c * p^k for p <= 13, among them every k > p (where
+# S(p^k) < k * p) below 10^13, which keeps the base primes cheap; 13 first
+# reaches k > p at 13^14 (see below).
+_HIGH_POWERS = [p**k for p in (2, 3, 5, 7, 11, 13) for k in range(2, 64) if p**k < 10**13]
+
+
+@st.composite
+def _windows(draw):
+    width = draw(st.integers(0, 16))
+    centre = draw(
+        st.one_of(
+            st.integers(1, 3000),
+            st.builds(lambda c, q: c * q, st.integers(1, 9), st.sampled_from(_HIGH_POWERS)),
+            st.integers(1, 10**12),
+        )
+    )
+    lo = max(1, centre - draw(st.integers(0, width)))
+    segment_size = draw(st.sampled_from([1, 7, None])) or draw(st.integers(1, width + 1))
+    return lo, lo + width, segment_size
+
+
+@settings(max_examples=60, deadline=None)
+@given(_windows(), st.sampled_from([PAPER, FORMULA]))
+def test_windows_match_scalar_kernel(window, conv):
+    lo, hi, segment_size = window
+    tab = s_range(lo, hi, conv, segment_size=segment_size)
+    assert tab.values.tolist() == [s(j, conv) for j in range(lo, hi + 1)]
+
+
+def test_thirteen_past_the_exponent_bound():
+    # 13^14 and 13^15 are the powers of 13 with k > 13 below 2^64; the base
+    # primes of the first take seconds to sieve, of the second minutes.
+    lo = 13**14 - 3
+    tab = s_range(lo, lo + 6)
+    assert tab.values.tolist() == [s(j) for j in range(lo, lo + 7)]
 
 
 def test_entry_bounds_invariant():
@@ -176,6 +215,15 @@ def test_rejects_truncation():
         STable.from_bytes(blob[:-3])
     with pytest.raises(CacheFormatError):
         STable.from_bytes(blob[:10])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10**6), st.integers(0, 20), st.data())
+def test_any_flipped_byte_is_rejected(lo, width, data):
+    blob = bytearray(s_range(lo, lo + width).to_bytes())
+    blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+    with pytest.raises(CacheFormatError):
+        STable.from_bytes(bytes(blob))
 
 
 def test_failed_save_keeps_existing_file_and_leaves_no_temp(tmp_path, monkeypatch):
