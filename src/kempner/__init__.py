@@ -13,7 +13,6 @@ from .census import (
     count_primes,
     count_twin,
     pair_term,
-    pair_term_fast,
     trace_terms,
 )
 from .core import (
@@ -34,7 +33,7 @@ from .oracle import (
     oracle_s,
     sieve_primes,
 )
-from .table import DEFAULT_SEGMENT_SIZE, CacheFormatError, STable, fnv1a64, s_range
+from .table import DEFAULT_SEGMENT_SIZE, CacheFormatError, STable, s_range
 
 __version__ = "0.1.0"
 
@@ -52,14 +51,12 @@ __all__ = [
     "count_primes",
     "count_twin",
     "factorize",
-    "fnv1a64",
     "is_prime",
     "legendre_valuation",
     "oracle_pair_count",
     "oracle_pi",
     "oracle_s",
     "pair_term",
-    "pair_term_fast",
     "s",
     "s_naive",
     "s_prime_power",

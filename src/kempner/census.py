@@ -47,10 +47,8 @@ __all__ = [
     "count_twin",
     "pair_count_sweep",
     "pair_term",
-    "pair_term_fast",
     "prime_count_sweep",
     "trace_terms",
-    "twin_count_sweep",
 ]
 
 
@@ -97,25 +95,15 @@ def pair_term(j: int, half_gap: int, s_j: int, s_j2n: int) -> int:
     """The literal summand floor(S(j) S(j+2n) / (j (j+2n))).
 
     Evaluated with exact (unbounded) integer arithmetic, so products past
-    64 bits never truncate.  For genuine S values the result is in {0, 1}.
+    64 bits never truncate.  For genuine S values it is 1 exactly when
+    s_j = j and s_j2n = j + 2n (S(k) <= k), the fixed-point test the counters
+    apply to each segment; the equivalence is property-tested.
     """
     j = _as_u64(j, "j", minimum=1)
     half_gap = _as_u64(half_gap, "half_gap", minimum=1)
     s_j = _as_u64(s_j, "s_j")
     s_j2n = _as_u64(s_j2n, "s_j2n")
     return (s_j * s_j2n) // (j * (j + 2 * half_gap))
-
-
-def pair_term_fast(j: int, half_gap: int, s_j: int, s_j2n: int) -> int:
-    """Fixed-point shortcut for :func:`pair_term`.
-
-    Because S(k) <= k (with S(1) in {0, 1}), the floored ratio is 1 exactly
-    when s_j = j and s_j2n = j + 2n.  Agrees with the literal division on
-    every genuine S input; the equivalence is property-tested.
-    """
-    j = _as_u64(j, "j", minimum=1)
-    half_gap = _as_u64(half_gap, "half_gap", minimum=1)
-    return 1 if (s_j == j and s_j2n == j + 2 * half_gap) else 0
 
 
 class _Tally:
@@ -274,39 +262,24 @@ def trace_terms(
     return rows
 
 
-def twin_count_sweep(
-    max_x: int, conv: Convention = Convention.FORMULA_CONSISTENT, literal: bool = False, **stream
-) -> np.ndarray:
-    """count_twin(x) for every x in [0, max_x] in one pass (see pair_count_sweep).
-
-    Equivalent to calling :func:`count_twin` at each x (property-tested).
-    """
-    return pair_count_sweep(max_x, 1, conv, literal, **stream)
-
-
 def pair_count_sweep(
     max_x: int,
     half_gap: int,
-    conv: Convention = Convention.FORMULA_CONSISTENT,
     literal: bool = False,
     *,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     threads: int = 1,
 ) -> np.ndarray:
-    """count_pairs(x, n) for every x in [0, max_x], from one pass over S; ``conv`` is unused."""
+    """count_pairs(x, n) for every x in [0, max_x], from one pass over S."""
     xs = np.arange(_as_u64(max_x, "max_x") + 1, dtype=np.int64)
     gap = 2 * _as_u64(half_gap, "half_gap", minimum=1)
     return sample_counts(xs, [gap], (literal,), segment_size=segment_size, threads=threads)[0, 0]
 
 
 def prime_count_sweep(
-    max_x: int,
-    conv: Convention = Convention.FORMULA_CONSISTENT,
-    *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    threads: int = 1,
+    max_x: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE, threads: int = 1
 ) -> np.ndarray:
-    """count_primes(x) for every x in [0, max_x], from one pass over S; ``conv`` is unused."""
+    """count_primes(x) for every x in [0, max_x], from one pass over S."""
     xs = np.arange(_as_u64(max_x, "max_x") + 1, dtype=np.int64)
     return sample_counts(xs, [0], (False,), segment_size=segment_size, threads=threads)[0, 0]
 

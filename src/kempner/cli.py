@@ -10,14 +10,14 @@ from __future__ import annotations
 import os
 import sys
 import time
-from pathlib import Path
+from contextlib import nullcontext
 
 import click
 import numpy as np
 
 from . import census, oracle
 from .core import Convention, s, s_naive
-from .table import DEFAULT_SEGMENT_SIZE, default_cache_dir, s_range
+from .table import DEFAULT_SEGMENT_SIZE, default_cache_dir, iter_segments, s_range
 
 _CONVENTIONS = {
     "paper": Convention.PAPER_LITERAL,
@@ -43,12 +43,20 @@ def _echo_rows(header: str, rows) -> None:
 
 
 def _echo_count(header: str, cells: tuple, report: census.CountReport, verify: bool) -> None:
-    """The one-row CSV of a count, with the oracle columns in verify mode."""
+    """The one-row CSV of a count, with the oracle columns in verify mode;
+    a verified count that differs from the oracle exits 1."""
     if verify:
         cells += (report.formula_count, report.oracle_count, _bool_str(report.matches))
         _echo_rows(header + ",oracle,match", [cells])
+        if not report.matches:
+            sys.exit(_EXIT_MISMATCH)
     else:
         _echo_rows(header, [(*cells, report.formula_count)])
+
+
+def _exit_io(what: str, exc: OSError) -> None:
+    click.echo(f"error: {what}: {exc}", err=True)
+    sys.exit(_EXIT_IO)
 
 
 def _positive_check(name: str, value: int, minimum: int) -> int:
@@ -146,8 +154,6 @@ def twins(x: int, verify: bool, trace_window: str | None, segment_size: int, thr
         except ValueError as exc:
             raise click.BadParameter(str(exc), param_hint="--trace")
         _echo_rows("j,s_j,s_j_plus_gap,term", rows)
-    if verify and not report.matches:
-        sys.exit(_EXIT_MISMATCH)
 
 
 @main.command()
@@ -168,8 +174,6 @@ def pairs(x: int, gap: int, verify: bool, segment_size: int, threads: int) -> No
         threads=threads,
     )
     _echo_count("x,gap,count", (x, gap), report, verify)
-    if verify and not report.matches:
-        sys.exit(_EXIT_MISMATCH)
 
 
 @main.command("pi")
@@ -184,8 +188,6 @@ def cmd_pi(x: int, verify: bool, segment_size: int, threads: int) -> None:
         x, verify=verify, segment_size=segment_size, threads=threads
     )
     _echo_count("x,pi", (x,), report, verify)
-    if verify and not report.matches:
-        sys.exit(_EXIT_MISMATCH)
 
 
 @main.command()
@@ -216,37 +218,30 @@ def table(
     if lo < 1 or hi < lo:
         raise click.BadParameter(f"need 1 <= LO <= HI, got [{lo}, {hi}]", param_hint="lo/hi")
     conv = _CONVENTIONS[convention]
-    stable = s_range(lo, hi, conv, segment_size=segment_size, threads=threads)
     if fmt == "csv":
-        lines = ["n,s,is_fixed_point"]
-        lines += [
-            f"{j},{v},{_bool_str(v == j)}"
-            for j, v in zip(range(lo, hi + 1), stable.values.tolist())
-        ]
-        text = "\n".join(lines) + "\n"
-        if out_path is None:
-            click.echo(text, nl=False)
-        else:
-            try:
-                Path(out_path).write_text(text)
-            except OSError as exc:
-                click.echo(f"error: cannot write {out_path}: {exc}", err=True)
-                sys.exit(_EXIT_IO)
-    else:
-        if out_path is None:
-            cache_dir = default_cache_dir()
-            try:
-                os.makedirs(cache_dir, exist_ok=True)
-            except OSError as exc:
-                click.echo(f"error: cannot create {cache_dir}: {exc}", err=True)
-                sys.exit(_EXIT_IO)
-            out_path = os.path.join(cache_dir, f"s_{lo}_{hi}_{conv.value}.skt")
+        # Opened before any work; each segment is written as soon as it is filled.
         try:
-            stable.save(out_path)
+            with nullcontext(sys.stdout) if out_path is None else open(out_path, "w") as fh:
+                fh.write("n,s,is_fixed_point\n")
+                for a, values in iter_segments(lo, hi, conv, segment_size, threads):
+                    rows = enumerate(values.tolist(), a)
+                    fh.writelines(f"{j},{v},{_bool_str(v == j)}\n" for j, v in rows)
         except OSError as exc:
-            click.echo(f"error: cannot write {out_path}: {exc}", err=True)
-            sys.exit(_EXIT_IO)
-        click.echo(out_path)
+            _exit_io(f"cannot write {'stdout' if out_path is None else out_path}", exc)
+        return
+    stable = s_range(lo, hi, conv, segment_size=segment_size, threads=threads)
+    if out_path is None:
+        cache_dir = default_cache_dir()
+        try:
+            os.makedirs(cache_dir, exist_ok=True)
+        except OSError as exc:
+            _exit_io(f"cannot create {cache_dir}", exc)
+        out_path = os.path.join(cache_dir, f"s_{lo}_{hi}_{conv.value}.skt")
+    try:
+        stable.save(out_path)
+    except OSError as exc:
+        _exit_io(f"cannot write {out_path}", exc)
+    click.echo(out_path)
 
 
 @main.command()

@@ -21,9 +21,7 @@ __all__ = [
     "oracle_pair_count",
     "oracle_pi",
     "oracle_s",
-    "pair_count_sweep",
     "pair_counts_at",
-    "pair_members",
     "pi_sweep",
     "sieve_primes",
 ]
@@ -68,15 +66,6 @@ class PrimeSieve:
         if upto >= 2:
             out[2] = True
         return out
-
-    def count(self) -> int:
-        """pi(limit): number of set bits, plus one for the prime 2."""
-        n_odd = (self.limit + 1) // 2
-        odd = int(np.unpackbits(self.bits, count=n_odd).sum()) if n_odd else 0
-        return odd + (1 if self.limit >= 2 else 0)
-
-    def primes(self, upto: int | None = None) -> np.ndarray:
-        return np.flatnonzero(self.flags(upto))
 
 
 def _simple_odd_primes(limit: int) -> list[int]:
@@ -159,28 +148,6 @@ def oracle_pair_count(x: int, half_gap: int, sieve: PrimeSieve | None = None) ->
     x = _as_u64(x, "x")
     half_gap = _as_u64(half_gap, "half_gap", minimum=1)
     return int(pair_counts_at(np.array([x]), [2 * half_gap], sieve)[0, 0])
-
-
-def pair_members(x: int, half_gap: int, sieve: PrimeSieve | None = None) -> np.ndarray:
-    """Smaller members p of every counted pair (p, p + 2n) with p + 2n <= x."""
-    x = _as_u64(x, "x")
-    half_gap = _as_u64(half_gap, "half_gap", minimum=1)
-    gap = 2 * half_gap
-    if x < gap + 2:
-        return np.empty(0, dtype=np.int64)
-    if sieve is None:
-        sieve = sieve_primes(x)
-    flags = sieve.flags(x)
-    return np.flatnonzero(flags[: x + 1 - gap] & flags[gap:])
-
-
-def pair_count_sweep(
-    max_x: int, half_gap: int, sieve: PrimeSieve | None = None
-) -> np.ndarray:
-    """Pair count for every x in [0, max_x] (pairs indexed by larger member)."""
-    max_x = _as_u64(max_x, "max_x")
-    half_gap = _as_u64(half_gap, "half_gap", minimum=1)
-    return pair_counts_at(np.arange(max_x + 1), [2 * half_gap], sieve)[0]
 
 
 def pair_counts_at(

@@ -14,12 +14,14 @@ splitting each segment.
 
 Cache files are little-endian:
 
-    magic "SKT1" | version u32 | lo u64 | hi u64 | convention u8
-    | (hi - lo + 1) values u64 | FNV-1a 64 checksum u64
+    magic "SKT2" | version u32 | lo u64 | hi u64 | convention u8
+    | (hi - lo + 1) values u64 | checksum u64
 
-where the checksum covers every preceding byte and the convention byte is
-0 for FORMULA_CONSISTENT, 1 for PAPER_LITERAL.  Readers reject bad magic,
-bad length, unknown versions and checksum mismatches.
+where the checksum is the 8-byte BLAKE2b digest (RFC 7693, read as a
+little-endian u64) of every preceding byte and the convention byte is 0 for
+FORMULA_CONSISTENT, 1 for PAPER_LITERAL.  Readers reject bad magic, bad
+length, unknown versions and checksum mismatches; the older "SKT1" files
+are rejected by name.
 """
 
 from __future__ import annotations
@@ -34,35 +36,33 @@ from math import isqrt
 
 import numpy as np
 
-from .core import U64_MAX, Convention, _as_u64, s_prime_power
+from .core import Convention, _as_u64, s_prime_power
 
 __all__ = [
     "DEFAULT_SEGMENT_SIZE",
     "CacheFormatError",
     "STable",
-    "fnv1a64",
     "s_range",
 ]
 
 DEFAULT_SEGMENT_SIZE = 1 << 20  # 8 MiB of u64 per segment: cache friendly, tunable
 
-_MAGIC = b"SKT1"
-_VERSION = 1
+_MAGIC = b"SKT2"
+_VERSION = 2
 _HEADER = struct.Struct("<4sIQQB")
-_CHECKSUM = struct.Struct("<Q")
+_CHECKSUM_SIZE = 8
 _CONV_CODE = {Convention.FORMULA_CONSISTENT: 0, Convention.PAPER_LITERAL: 1}
 _CONV_FROM_CODE = {code: conv for conv, code in _CONV_CODE.items()}
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
 
+def _checksum(*chunks) -> bytes:
+    """The 8-byte BLAKE2b digest of the chunks in turn: the checksum slot as stored."""
+    import hashlib  # loads OpenSSL, about 4 MiB of RSS, so only cache I/O pays for it
 
-def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash of a byte string."""
-    h = _FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & U64_MAX
-    return h
+    digest = hashlib.blake2b(digest_size=_CHECKSUM_SIZE)
+    for chunk in chunks:
+        digest.update(chunk)
+    return digest.digest()
 
 
 class CacheFormatError(ValueError):
@@ -98,16 +98,21 @@ class STable:
 
     def to_bytes(self) -> bytes:
         """Serialize to the checksummed cache format (deterministic bytes)."""
-        payload = _HEADER.pack(_MAGIC, _VERSION, self.lo, self.hi, _CONV_CODE[self.conv])
-        payload += self.values.astype("<u8", copy=False).tobytes()
-        return payload + _CHECKSUM.pack(fnv1a64(payload))
+        header = _HEADER.pack(_MAGIC, _VERSION, self.lo, self.hi, _CONV_CODE[self.conv])
+        values = self.values.astype("<u8", copy=False)
+        return b"".join((header, values, _checksum(header, values)))
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "STable":
         """Parse and validate a cache blob; raises CacheFormatError on any defect."""
-        if len(blob) < _HEADER.size + _CHECKSUM.size:
+        if len(blob) < _HEADER.size + _CHECKSUM_SIZE:
             raise CacheFormatError(f"blob too short ({len(blob)} bytes)")
         magic, version, lo, hi, conv_code = _HEADER.unpack_from(blob, 0)
+        if magic == b"SKT1":
+            raise CacheFormatError(
+                "SKT1 is an older cache format; regenerate the file with "
+                "`kempner table --format cache`"
+            )
         if magic != _MAGIC:
             raise CacheFormatError(f"bad magic {magic!r}")
         if version != _VERSION:
@@ -117,11 +122,10 @@ class STable:
         if lo < 1 or hi < lo:
             raise CacheFormatError(f"bad range [{lo}, {hi}]")
         count = hi - lo + 1
-        expected = _HEADER.size + 8 * count + _CHECKSUM.size
+        expected = _HEADER.size + 8 * count + _CHECKSUM_SIZE
         if len(blob) != expected:
             raise CacheFormatError(f"length {len(blob)} != expected {expected}")
-        (stored,) = _CHECKSUM.unpack_from(blob, len(blob) - _CHECKSUM.size)
-        if fnv1a64(blob[: -_CHECKSUM.size]) != stored:
+        if _checksum(memoryview(blob)[:-_CHECKSUM_SIZE]) != blob[-_CHECKSUM_SIZE:]:
             raise CacheFormatError("checksum mismatch")
         values = np.frombuffer(
             blob, dtype="<u8", count=count, offset=_HEADER.size

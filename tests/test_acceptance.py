@@ -20,15 +20,10 @@ from kempner.census import (
     pair_count_sweep,
     pair_term,
     prime_count_sweep,
-    twin_count_sweep,
 )
 from kempner.cli import main as cli_main
 from kempner.core import Convention, factorize, is_prime, s, s_naive
-from kempner.oracle import (
-    pair_count_sweep as oracle_pair_sweep,
-    pi_sweep,
-    sieve_primes,
-)
+from kempner.oracle import pair_counts_at, pi_sweep, sieve_primes
 from kempner.table import CacheFormatError, STable, s_range
 
 PAPER = Convention.PAPER_LITERAL
@@ -78,8 +73,8 @@ def test_criterion_2_fixed_point_law():
 def test_criterion_3_twin_formula_reproduction():
     def body():
         limit = 10**5
-        formula = twin_count_sweep(limit)
-        truth = oracle_pair_sweep(limit, 1)
+        formula = pair_count_sweep(limit, 1)
+        truth = pair_counts_at(np.arange(limit + 1), [2])[0]
         assert (formula[2:] == truth[2:]).all()
         rng = random.Random(31)
         for x in [2, 3, 4, 5, limit] + [rng.randrange(2, limit) for _ in range(25)]:
@@ -95,7 +90,7 @@ def test_criterion_4_gap_formula_reproduction():
         rng = random.Random(41)
         for half_gap in range(2, 11):
             formula = pair_count_sweep(limit, half_gap)
-            truth = oracle_pair_sweep(limit, half_gap, sieve)
+            truth = pair_counts_at(np.arange(limit + 1), [2 * half_gap], sieve)[0]
             assert (formula[2:] == truth[2:]).all(), half_gap
             for x in [rng.randrange(2, limit) for _ in range(5)]:
                 report = count_pairs(PairCountQuery(x, half_gap))
@@ -121,15 +116,14 @@ def test_criterion_6_literal_discrepancy_documented():
         limit = 10**4
         sieve = sieve_primes(limit)
 
-        twin_delta = twin_count_sweep(limit, literal=True) - oracle_pair_sweep(
-            limit, 1, sieve
-        )
+        xs = np.arange(limit + 1)
+        twin_delta = pair_count_sweep(limit, 1, literal=True) - pair_counts_at(xs, [2], sieve)[0]
         assert (twin_delta[5:] == 1).all()
 
         for half_gap in range(2, 11):
-            delta = pair_count_sweep(limit, half_gap, literal=True) - oracle_pair_sweep(
-                limit, half_gap, sieve
-            )
+            delta = pair_count_sweep(limit, half_gap, literal=True) - pair_counts_at(
+                xs, [2 * half_gap], sieve
+            )[0]
             threshold = 2 * half_gap + 1
             expected = 1 if is_prime(threshold) else 0
             assert (delta[threshold:] == expected).all(), half_gap

@@ -15,14 +15,12 @@ from kempner.census import (
     count_twin,
     pair_count_sweep,
     pair_term,
-    pair_term_fast,
     prime_count_sweep,
     sample_counts,
     trace_terms,
-    twin_count_sweep,
 )
 from kempner.core import Convention, is_prime, s
-from kempner.oracle import pair_count_sweep as oracle_pair_sweep, pi_sweep
+from kempner.oracle import pair_counts_at, pi_sweep
 from kempner.table import s_range
 
 PAPER = Convention.PAPER_LITERAL
@@ -48,8 +46,10 @@ def test_pair_term_beyond_64_bit_products():
     j = 2**62 + 1
     assert pair_term(j, 1, j, j + 2) == 1
     assert pair_term(j, 1, j - 1, j + 2) == 0
-    assert pair_term_fast(j, 1, j, j + 2) == 1
-    assert pair_term_fast(j, 1, j - 1, j + 2) == 0
+
+
+# The counters replace the division by the fixed-point test s_j == j and
+# s_j2n == j + 2n; these two check that the two agree on genuine S values.
 
 
 def test_fast_path_equals_division_exhaustively():
@@ -59,9 +59,8 @@ def test_fast_path_equals_division_exhaustively():
         for j in range(1, 30_000):
             s_j = int(tab.values[j - 1])
             s_j2n = int(tab.values[j + gap - 1])
-            assert pair_term(j, half_gap, s_j, s_j2n) == pair_term_fast(
-                j, half_gap, s_j, s_j2n
-            ), (j, half_gap)
+            fixed = s_j == j and s_j2n == j + gap
+            assert pair_term(j, half_gap, s_j, s_j2n) == fixed, (j, half_gap)
 
 
 def test_fast_path_equals_division_random_large():
@@ -71,9 +70,8 @@ def test_fast_path_equals_division_random_large():
         half_gap = rng.randrange(1, 11)
         s_j = s(j, PAPER)
         s_j2n = s(j + 2 * half_gap, PAPER)
-        assert pair_term(j, half_gap, s_j, s_j2n) == pair_term_fast(
-            j, half_gap, s_j, s_j2n
-        ), (j, half_gap)
+        fixed = s_j == j and s_j2n == j + 2 * half_gap
+        assert pair_term(j, half_gap, s_j, s_j2n) == fixed, (j, half_gap)
 
 
 # --- count_twin --------------------------------------------------------------
@@ -208,7 +206,7 @@ def test_trace_sum_reproduces_count():
 
 
 def test_twin_sweep_matches_point_function():
-    sweep = twin_count_sweep(2000)
+    sweep = pair_count_sweep(2000, 1)
     rng = random.Random(5)
     for x in [0, 1, 2, 3, 4, 5] + [rng.randrange(2000) for _ in range(40)]:
         assert sweep[x] == count_twin(x).formula_count, x
@@ -230,7 +228,7 @@ def test_prime_sweep_matches_point_function():
 def test_twin_monotone_with_exact_increments(sieve_100k):
     # Increment at x iff (x-2, x) is a twin pair: the larger-member reading.
     limit = 10_000
-    sweep = twin_count_sweep(limit)
+    sweep = pair_count_sweep(limit, 1)
     flags = sieve_100k.flags(limit)
     diffs = np.diff(sweep)
     assert (diffs >= 0).all()
@@ -239,17 +237,10 @@ def test_twin_monotone_with_exact_increments(sieve_100k):
     np.testing.assert_array_equal(diffs, expected)
 
 
-def test_sweep_convention_independence():
-    for half_gap in (1, 2, 3):
-        a = pair_count_sweep(2500, half_gap, PAPER)
-        b = pair_count_sweep(2500, half_gap, FORMULA)
-        assert (a == b).all()
-
-
 def test_sweeps_match_oracle(sieve_100k):
     for half_gap in (1, 2, 5):
         formula = pair_count_sweep(4000, half_gap)
-        truth = oracle_pair_sweep(4000, half_gap, sieve_100k)
+        truth = pair_counts_at(np.arange(4001), [2 * half_gap], sieve_100k)[0]
         assert (formula == truth).all()
 
 
@@ -273,8 +264,8 @@ def test_published_prime_and_twin_counts(x, pi, twins):
 
 
 def test_literal_twin_overcounts_by_one_from_three(sieve_100k):
-    literal = twin_count_sweep(2000, literal=True)
-    truth = oracle_pair_sweep(2000, 1, sieve_100k)
+    literal = pair_count_sweep(2000, 1, literal=True)
+    truth = pair_counts_at(np.arange(2001), [2], sieve_100k)[0]
     delta = literal - truth
     assert (delta[:3] == 0).all()
     assert (delta[3:] == 1).all()
@@ -283,7 +274,7 @@ def test_literal_twin_overcounts_by_one_from_three(sieve_100k):
 def test_literal_pairs_overcount_iff_gap_plus_one_prime(sieve_100k):
     for half_gap in range(2, 11):
         literal = pair_count_sweep(2000, half_gap, literal=True)
-        truth = oracle_pair_sweep(2000, half_gap, sieve_100k)
+        truth = pair_counts_at(np.arange(2001), [2 * half_gap], sieve_100k)[0]
         delta = literal - truth
         threshold = 2 * half_gap + 1
         expected = 1 if is_prime(threshold) else 0
@@ -292,7 +283,7 @@ def test_literal_pairs_overcount_iff_gap_plus_one_prime(sieve_100k):
 
 
 def test_literal_point_count_matches_sweep():
-    literal_sweep = twin_count_sweep(300, literal=True)
+    literal_sweep = pair_count_sweep(300, 1, literal=True)
     for x in (2, 3, 4, 5, 17, 300):
         assert count_twin(x, literal=True).formula_count == literal_sweep[x]
 
@@ -338,10 +329,10 @@ def test_counts_do_not_depend_on_segment_size_or_threads(case, conv, literal):
     ).formula_count
     assert count_primes(x, conv, **stream).formula_count == count_primes(x, conv).formula_count
     np.testing.assert_array_equal(
-        pair_count_sweep(x, half_gap, conv, literal, **stream),
-        pair_count_sweep(x, half_gap, conv, literal),
+        pair_count_sweep(x, half_gap, literal, **stream),
+        pair_count_sweep(x, half_gap, literal),
     )
-    np.testing.assert_array_equal(prime_count_sweep(x, conv, **stream), prime_count_sweep(x))
+    np.testing.assert_array_equal(prime_count_sweep(x, **stream), prime_count_sweep(x))
 
 
 def test_one_pass_sieves_base_primes_once_and_opens_one_pool(monkeypatch):

@@ -1,5 +1,7 @@
 """CLI surface: exact output bytes, exit codes, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from kempner import census, cli, oracle, table
 from kempner.cli import main
+from kempner.core import s
 from kempner.table import STable
 
 
@@ -174,6 +177,53 @@ def test_table_io_failure(runner):
     assert result.exit_code == 3
 
 
+def test_table_csv_does_not_depend_on_segment_size_or_threads(runner):
+    base = invoke(runner, "table", "1", "3000").output
+    for segment_size in ("1", "7", str(table.DEFAULT_SEGMENT_SIZE)):
+        for threads in ("1", "2"):
+            other = invoke(runner, "table", "1", "3000", "--segment-size", segment_size,
+                           "--threads", threads)
+            assert other.output == base, (segment_size, threads)
+
+
+def test_table_csv_streams_in_less_memory_than_the_values(runner, tmp_path):
+    path = tmp_path / "table.csv"
+    tracemalloc.start()
+    try:
+        result = invoke(runner, "table", "1", "200000", "--segment-size", "4096",
+                        "--out", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0
+    assert peak < 8 * 200_000  # the table's u64 values alone: 1.6 MB
+    lines = path.read_text().splitlines()
+    assert len(lines) == 200_001
+    assert lines[-1] == f"200000,{s(200_000)},false"
+
+
+def test_table_csv_unwritable_out_exits_before_any_work(runner, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was opened")
+
+    monkeypatch.setattr(cli, "iter_segments", no_work)
+    monkeypatch.setattr(table, "_small_primes", no_work)
+    result = runner.invoke(main, ["table", "1", "10", "--out", "/nonexistent/t.csv"])
+    assert result.exit_code == 3
+    assert "cannot write /nonexistent/t.csv" in result.output
+
+
+@pytest.mark.parametrize("command, counter", [(["twins", "100"], "count_twin"),
+                                              (["pairs", "100", "--gap", "4"], "count_pairs"),
+                                              (["pi", "100"], "count_primes")])
+def test_verified_count_mismatch_exits_one(runner, monkeypatch, command, counter):
+    monkeypatch.setattr(census, counter, lambda *args, **kwargs: census.CountReport(5, 6))
+    result = runner.invoke(main, command + ["--verify"])
+    assert result.exit_code == 1
+    assert result.output.splitlines()[1].endswith(",5,6,false")
+    assert runner.invoke(main, command).exit_code == 0
+
+
 # --- verify ----------------------------------------------------------------------
 
 
@@ -261,7 +311,7 @@ def test_verify_numbers_reproducible_from_library(runner):
     lines = result.output.splitlines()
     sieve = oracle.sieve_primes(400)
     literal = census.pair_count_sweep(400, 3, literal=True)
-    truth = oracle.pair_count_sweep(400, 3, sieve)
+    truth = oracle.pair_counts_at(np.arange(401), [6], sieve)[0]
     gap, x_from, x_to, delta = map(int, lines[lines.index("literal_gap,x_from,x_to,delta") + 1].split(","))
     for x in (x_from, (x_from + x_to) // 2, x_to):
         assert literal[x] - truth[x] == delta

@@ -10,19 +10,17 @@ from kempner.oracle import (
     oracle_pair_count,
     oracle_pi,
     oracle_s,
-    pair_count_sweep,
     pair_counts_at,
-    pair_members,
     pi_sweep,
     sieve_primes,
 )
 
 
 def test_sieve_examples():
-    assert sieve_primes(10).primes().tolist() == [2, 3, 5, 7]
-    assert sieve_primes(100).count() == 25
+    assert np.flatnonzero(sieve_primes(10).flags()).tolist() == [2, 3, 5, 7]
+    assert oracle_pi(100, sieve_primes(100)) == 25
     empty = sieve_primes(0)
-    assert empty.count() == 0
+    assert oracle_pi(0, empty) == 0
     assert empty.flags().tolist() == [False]
 
 
@@ -47,7 +45,7 @@ def test_sieve_point_query_out_of_range(sieve_100k):
 def test_popcount_plus_two_is_pi(sieve_100k):
     n_odd = (sieve_100k.limit + 1) // 2
     set_bits = int(np.unpackbits(sieve_100k.bits, count=n_odd).sum())
-    assert set_bits + 1 == sieve_100k.count() == 9592
+    assert set_bits + 1 == oracle_pi(sieve_100k.limit, sieve_100k) == 9592
 
 
 def test_sieve_memory_cap():
@@ -68,14 +66,14 @@ def test_oracle_pair_count_examples():
         assert oracle_pair_count(2 * n + 2, n) == 0
 
 
-def test_pair_members_are_reverified_prime(sieve_100k):
-    members = pair_members(100, 1, sieve_100k)
-    assert members.tolist() == [3, 5, 11, 17, 29, 41, 59, 71]
-    for half_gap in (1, 2, 3, 5):
-        for p in pair_members(5000, half_gap, sieve_100k).tolist():
-            assert is_prime(p)
-            assert is_prime(p + 2 * half_gap)
-            assert p + 2 * half_gap <= 5000
+def test_oracle_pair_count_matches_brute_force(sieve_100k):
+    prime = [is_prime(n) for n in range(5001)]
+    for half_gap in (1, 2, 3):
+        gap = 2 * half_gap
+        count = 0  # pairs (p, p + gap) with p + gap <= x, by core.is_prime
+        for x in range(5001):
+            count += x >= gap and prime[x - gap] and prime[x]
+            assert oracle_pair_count(x, half_gap, sieve_100k) == count, (x, half_gap)
 
 
 def test_oracle_pi_examples(sieve_100k):
@@ -97,7 +95,7 @@ def test_pi_increments_track_primality(sieve_100k):
 
 def test_pair_sweep_matches_point_counts(sieve_100k):
     for half_gap in (1, 2, 4):
-        sweep = pair_count_sweep(4000, half_gap, sieve_100k)
+        sweep = pair_counts_at(np.arange(4001), [2 * half_gap], sieve_100k)[0]
         for x in (0, 5, 100, 1234, 4000):
             assert sweep[x] == oracle_pair_count(x, half_gap, sieve_100k)
 

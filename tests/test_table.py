@@ -1,8 +1,10 @@
 """Range kernel and cache format: equivalence, determinism, serialization."""
 
 import errno
+import hashlib
 import os
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from kempner import table
 from kempner.core import Convention, s
-from kempner.table import CacheFormatError, STable, fnv1a64, s_range
+from kempner.table import CacheFormatError, STable, s_range
 
 PAPER = Convention.PAPER_LITERAL
 FORMULA = Convention.FORMULA_CONSISTENT
@@ -137,11 +139,26 @@ def test_stable_length_validation():
 # --- serialization -----------------------------------------------------------
 
 
-def test_fnv1a64_reference_vectors():
-    # Published FNV-1a 64 test vectors.
-    assert fnv1a64(b"") == 0xCBF29CE484222325
-    assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
-    assert fnv1a64(b"foobar") == 0x85944171F73967E8
+def test_skt2_known_answer_bytes():
+    header = b"SKT2" + struct.pack("<IQQB", 2, 1, 10, 1)  # version 2, [1, 10], PAPER_LITERAL
+    values = struct.pack("<10Q", 1, 2, 3, 4, 5, 3, 7, 4, 6, 5)
+    checksum = hashlib.blake2b(header + values, digest_size=8).digest()
+    assert checksum == bytes.fromhex("9109bb5ca5e3b45d")  # little-endian u64 slot
+    assert s_range(1, 10, PAPER).to_bytes() == header + values + checksum
+
+
+# s_range(1, 10, PAPER) as the SKT1 format (FNV-1a checksum) wrote it.
+_SKT1_FIRST_TEN = bytes.fromhex(
+    "534b5431 01000000 0100000000000000 0a00000000000000 01"  # magic, version 1, lo, hi, conv
+    "0100000000000000 0200000000000000 0300000000000000 0400000000000000 0500000000000000"
+    "0300000000000000 0700000000000000 0400000000000000 0600000000000000 0500000000000000"
+    "1f3c5cf0842a2134"  # FNV-1a 64 of the preceding bytes
+)
+
+
+def test_skt1_blob_is_rejected():
+    with pytest.raises(CacheFormatError, match="SKT1"):
+        STable.from_bytes(_SKT1_FIRST_TEN)
 
 
 def test_round_trip_bytes():
