@@ -1,16 +1,22 @@
 """Dense S tables: a segmented range kernel and a checksummed cache format.
 
 The range kernel divides nothing per prime.  For every base prime
-p <= sqrt(hi) and every power p^k in range it takes the strided view of the
-multiples of p^k in a segment, raises them to at least S(p^k), and
-multiplies p into a running product of the part of j over the base primes.
-One division of j by that product leaves a cofactor that is 1 or a prime
-above sqrt(hi), its own candidate.  ``iter_segments`` is the one source of
-S values: it yields the segments of a range in order, sieving the base
-primes once.  ``s_range`` has it write whole segments into one table, in
-parallel across the threads; the counters in :mod:`kempner.census` consume
-them one at a time in O(segment_size + pi(sqrt(hi))) memory, the threads
-splitting each segment.
+p <= sqrt(hi) and every power p^k in range it raises the multiples of p^k
+in a segment to at least S(p^k) and multiplies p into a running product of
+the part of j over the base primes.  One division of j by that product
+leaves a cofactor that is 1 or a prime above sqrt(hi), its own candidate.
+Primes up to max(13, span / _BAND_HITS) do so on strided views of the
+segment, one prime at a time.  The larger primes, each of which hits the
+segment only a few times, form the large band: a bulk pass computes the
+offsets of all their powers as one vector and applies every hit with
+``np.maximum.at`` and ``np.multiply.at``, a block of primes at a time (the
+bucket idea of Oliveira e Silva, Herzog and Pardi, Math. Comp. 83, 2014).
+
+``iter_segments`` is the one source of S values: it yields the segments of
+a range in order, sieving the base primes once.  ``s_range`` has it write
+whole segments into one table, in parallel across the threads; the counters
+in :mod:`kempner.census` consume them one at a time in
+O(segment_size + pi(sqrt(hi))) memory, the threads splitting each segment.
 
 Cache files are little-endian:
 
@@ -46,6 +52,11 @@ __all__ = [
 ]
 
 DEFAULT_SEGMENT_SIZE = 1 << 20  # 8 MiB of u64 per segment: cache friendly, tunable
+# Primes above span / _BAND_HITS (and above 13) hit a span at most about
+# _BAND_HITS times; they skip the strided loop for the bulk pass, which takes
+# _BAND_BLOCK of them per step so that its temporaries stay bounded.
+_BAND_HITS = 128
+_BAND_BLOCK = 1 << 14
 
 _MAGIC = b"SKT2"
 _VERSION = 2
@@ -103,8 +114,12 @@ class STable:
         return b"".join((header, values, _checksum(header, values)))
 
     @classmethod
-    def from_bytes(cls, blob: bytes) -> "STable":
-        """Parse and validate a cache blob; raises CacheFormatError on any defect."""
+    def from_bytes(cls, blob: bytes | bytearray) -> "STable":
+        """Parse and validate a cache blob; raises CacheFormatError on any defect.
+
+        The values are a view of a writable blob such as a ``bytearray``
+        (which the table then keeps alive) and a copy of a read-only one.
+        """
         if len(blob) < _HEADER.size + _CHECKSUM_SIZE:
             raise CacheFormatError(f"blob too short ({len(blob)} bytes)")
         magic, version, lo, hi, conv_code = _HEADER.unpack_from(blob, 0)
@@ -127,9 +142,9 @@ class STable:
             raise CacheFormatError(f"length {len(blob)} != expected {expected}")
         if _checksum(memoryview(blob)[:-_CHECKSUM_SIZE]) != blob[-_CHECKSUM_SIZE:]:
             raise CacheFormatError("checksum mismatch")
-        values = np.frombuffer(
-            blob, dtype="<u8", count=count, offset=_HEADER.size
-        ).astype(np.uint64)
+        values = np.frombuffer(blob, dtype="<u8", count=count, offset=_HEADER.size)
+        if not values.flags.writeable:
+            values = values.copy()
         return cls(lo, hi, _CONV_FROM_CODE[conv_code], values)
 
     def save(self, path) -> None:
@@ -148,20 +163,25 @@ class STable:
 
     @classmethod
     def load(cls, path) -> "STable":
+        """Read and validate a cache file into one buffer, which the values then view."""
         with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())
+            blob = bytearray(os.fstat(fh.fileno()).st_size)
+            del blob[fh.readinto(blob) :]  # a file cut short while read leaves no zeros
+        return cls.from_bytes(blob)
 
 
 def _small_primes(limit: int) -> np.ndarray:
-    """All primes <= limit by a plain sieve (base primes for the range kernel)."""
+    """All primes <= limit by a sieve over the odd numbers (base primes for the range kernel)."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags)
+    odd = np.ones((limit + 1) // 2, dtype=bool)  # odd[i] stands for 2i + 1
+    odd[0] = False
+    for i in range(1, (isqrt(limit) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    primes = 2 * np.flatnonzero(odd) + 1
+    return np.concatenate((np.array([2], dtype=primes.dtype), primes))
 
 
 def _fill_segment(dest: np.ndarray, a: int, b: int, base: np.ndarray) -> None:
@@ -170,15 +190,16 @@ def _fill_segment(dest: np.ndarray, a: int, b: int, base: np.ndarray) -> None:
     Every multiple of p^k in the segment takes the max with S(p^k), which
     grows with k, so the highest power of p that divides j wins.  ``prod``
     collects those powers, the part of j over the base primes; one division
-    leaves the cofactor, which is 1 or a single prime above sqrt(b).
+    leaves the cofactor, which is 1 or a single prime above sqrt(b).  Primes
+    up to max(13, n / _BAND_HITS) walk strided views of the segment; the
+    larger ones, which hit it rarely, go to the bulk pass in blocks.
     """
     n = b - a + 1
     dest[:] = 0
     prod = np.ones(n, dtype=np.uint64)
-    for p in base:
-        p = int(p)
-        if p * p > b:
-            break
+    top = int(np.searchsorted(base, isqrt(b), side="right"))
+    edge = min(top, int(np.searchsorted(base, max(13, n // _BAND_HITS), side="right")))
+    for p in base[:edge].tolist():
         q, k = p, 1
         while q <= b:
             off = (-a) % q
@@ -189,9 +210,39 @@ def _fill_segment(dest: np.ndarray, a: int, b: int, base: np.ndarray) -> None:
             np.maximum(hits, k * p if k <= p else s_prime_power(p, k), out=hits)
             prod[off::q] *= p
             q, k = q * p, k + 1
+    for start in range(edge, top, _BAND_BLOCK):
+        _fill_band(dest, prod, a, b, base[start : min(start + _BAND_BLOCK, top)])
     residual = np.arange(a, b + 1, dtype=np.uint64)
     residual //= prod
     np.maximum(dest, residual, where=residual > 1, out=dest)
+
+
+def _fill_band(dest: np.ndarray, prod: np.ndarray, a: int, b: int, primes: np.ndarray) -> None:
+    """The strided loop's work for a block of primes p >= 17, a few numpy calls per power k.
+
+    The offsets of the first multiple of p^k in the span are one vector; the
+    hits of every prime are expanded from them at once and applied with
+    ``ufunc.at``, which handles the primes that share a j.  A prime with no
+    multiple of p^k in the span has none of p^(k+1), so each power keeps
+    only the primes that hit.
+    """
+    n = b - a + 1
+    p = primes.astype(np.uint64)
+    q, k = p, 1
+    while p.size:
+        off = (q - np.uint64(a) % q) % q  # (-a) mod p^k
+        hit = off < n
+        p, q, off = p[hit], q[hit], off[hit].astype(np.int64)
+        step = np.minimum(q, n).astype(np.int64)  # a power past the span hits it once
+        counts = (n - 1 - off) // step + 1
+        first = np.cumsum(counts) - counts
+        rank = np.arange(counts.sum()) - np.repeat(first, counts)
+        idx = np.repeat(off, counts) + rank * np.repeat(step, counts)
+        hit_primes = np.repeat(p, counts)
+        np.maximum.at(dest, idx, hit_primes * np.uint64(k))  # S(p^k) = k*p, as k <= p
+        np.multiply.at(prod, idx, hit_primes)
+        more = q <= np.uint64(b) // p
+        p, q, k = p[more], q[more] * p[more], k + 1
 
 
 def iter_segments(

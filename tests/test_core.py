@@ -5,6 +5,8 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kempner.core import (
     U64_MAX,
@@ -171,6 +173,40 @@ def test_factorize_examples():
     assert factorize(12).factors == ((2, 2), (3, 1))
     assert factorize(1).factors == ()
     assert factorize(9991).factors == ((97, 1), (103, 1))
+
+
+def test_factorize_known_answers():
+    # Around the trial bound 10^4 (9973 below it, 10007 above), powers past
+    # it, the largest u64 and a primorial.
+    assert factorize(9973**2 * 10007).factors == ((9973, 2), (10007, 1))
+    assert factorize(9973**4).factors == ((9973, 4),)
+    assert factorize(9967 * 9973).factors == ((9967, 1), (9973, 1))
+    assert factorize(2**63).factors == ((2, 63),)
+    assert U64_MAX == 3 * 5 * 17 * 257 * 641 * 65537 * 6700417
+    assert factorize(U64_MAX).factors == tuple(
+        (p, 1) for p in (3, 5, 17, 257, 641, 65537, 6700417)
+    )
+    primes_to_47 = [p for p in range(2, 48) if sympy.isprime(p)]
+    assert factorize(math.prod(primes_to_47)).factors == tuple((p, 1) for p in primes_to_47)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 50), st.data())
+def test_factorize_smooth_times_trial_prime(a, data):
+    top = 0  # the largest b with 2^a * 3^b * 9973 in u64
+    while 2**a * 3 ** (top + 1) * 9973 <= U64_MAX:
+        top += 1
+    b = data.draw(st.integers(0, top))
+    expected = tuple((p, e) for p, e in ((2, a), (3, b), (9973, 1)) if e)
+    assert factorize(2**a * 3**b * 9973).factors == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, U64_MAX))
+def test_factorize_property_u64(n):
+    fact = factorize(n)
+    assert fact.value() == n
+    assert all(is_prime(p) for p, _ in fact)
 
 
 def test_factorize_rejects_zero():

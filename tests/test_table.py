@@ -5,6 +5,7 @@ import hashlib
 import os
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,11 +100,56 @@ def test_windows_match_scalar_kernel(window, conv):
 
 
 def test_thirteen_past_the_exponent_bound():
-    # 13^14 and 13^15 are the powers of 13 with k > 13 below 2^64; the base
-    # primes of the first take seconds to sieve, of the second minutes.
+    # 13^14 and 13^15 are the powers of 13 with k > 13 below 2^64; the 3.7M
+    # base primes of the first sieve in under a second, those of the second
+    # take minutes.  With one entry per segment every prime above 13 goes
+    # through the bulk pass, seven times over.
     lo = 13**14 - 3
-    tab = s_range(lo, lo + 6)
-    assert tab.values.tolist() == [s(j) for j in range(lo, lo + 7)]
+    expected = [s(j) for j in range(lo, lo + 7)]
+    for segment_size in (1, table.DEFAULT_SEGMENT_SIZE):
+        assert s_range(lo, lo + 6, segment_size=segment_size).values.tolist() == expected
+
+
+def _plain_sieve(limit):
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, int(limit**0.5) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags)
+
+
+def test_small_primes_match_a_plain_sieve():
+    ref = _plain_sieve(3000)
+    for limit in range(3001):
+        assert table._small_primes(limit).tolist() == ref[ref <= limit].tolist(), limit
+    assert (table._small_primes(10**6 + 3) == _plain_sieve(10**6 + 3)).all()
+
+
+# A span of 20 * _BAND_HITS entries puts the band edge at 20: 19 is the
+# largest prime of the strided loop, 23 the smallest of the bulk pass.
+_SPAN = 20 * table._BAND_HITS
+
+
+@pytest.mark.parametrize("power", [19**2, 19**3, 19**4, 23**2, 23**3, 23**4])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_band_edge_windows(power, where):
+    centre = power << _SPAN.bit_length()  # an odd p^k times a power of 2 past the span
+    lo = {"first": centre, "middle": centre - _SPAN // 2, "last": centre - _SPAN + 1}[where]
+    tab = s_range(lo, lo + _SPAN - 1, segment_size=_SPAN)
+    assert tab.values.tolist() == [s(j) for j in range(lo, lo + _SPAN)]
+
+
+def test_large_window_identical_over_threads_and_segments():
+    # 999983, the largest prime below 10^6, is a base prime of every window
+    # near 10^12; its square is in this one.
+    lo = 999983**2 - 100
+    whole = s_range(lo, lo + 200, segment_size=1 << 19).to_bytes()
+    for segment_size in (1, 7, 1 << 19):
+        for threads in (1, 2):
+            tab = s_range(lo, lo + 200, segment_size=segment_size, threads=threads)
+            assert tab.to_bytes() == whole, (segment_size, threads)
+    assert tab.values.tolist() == [s(j) for j in range(lo, lo + 201)]
 
 
 def test_entry_bounds_invariant():
@@ -177,6 +223,28 @@ def test_round_trip_file(tmp_path):
     back = STable.load(path)
     assert (back.values == tab.values).all()
     assert (back.lo, back.hi, back.conv) == (37, 4000, FORMULA)
+
+
+def test_load_holds_one_copy(tmp_path):
+    path = tmp_path / "window.skt"
+    s_range(1, 1 << 20).save(path)
+    tracemalloc.start()
+    try:
+        back = STable.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * os.path.getsize(path)
+    assert back.values.flags.writeable
+    back.values[0] = 7
+    assert back.at(1) == 7
+
+
+def test_from_bytes_copies_a_read_only_blob():
+    blob = s_range(1, 50).to_bytes()
+    tab = STable.from_bytes(blob)
+    tab.values[0] = 7
+    assert STable.from_bytes(blob).at(1) == 1
 
 
 def test_serialization_is_deterministic():
