@@ -30,7 +30,6 @@ from .oracle import (
     PrimeSieve,
     oracle_pair_count,
     oracle_pi,
-    oracle_s,
     sieve_primes,
 )
 from .table import DEFAULT_SEGMENT_SIZE, CacheFormatError, STable, s_range
@@ -55,7 +54,6 @@ __all__ = [
     "legendre_valuation",
     "oracle_pair_count",
     "oracle_pi",
-    "oracle_s",
     "pair_term",
     "s",
     "s_naive",

@@ -1,4 +1,4 @@
-"""Command-line surface: point queries, tables, verification sweeps, benches.
+"""Command-line surface: point queries, counts, tables and verification sweeps.
 
 Every table is CSV with a header row; numeric fields are plain base-10 and
 booleans render as true/false, so no quoting is ever needed.  Exit codes:
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import sys
-import time
 from contextlib import nullcontext
 
 import click
@@ -326,30 +325,6 @@ def _runs(xs: np.ndarray, delta: np.ndarray):
         run_start, run_delta, prev_x = (x, d, x) if d != 0 else (None, 0, x)
     if run_start is not None and run_delta != 0:
         yield (run_start, prev_x, run_delta)
-
-
-@main.command()
-@click.option("--max-x", type=int, default=1_000_000, show_default=True)
-@click.option("--kernel", type=click.Choice(["naive", "factor", "range"]),
-              default="range", show_default=True)
-@_segment_option
-@_threads_option
-def bench(max_x: int, kernel: str, segment_size: int, threads: int) -> None:
-    """Time S-table generation with the chosen kernel (no correctness claims)."""
-    click.echo("kernel,max_x,elapsed_s")
-    if max_x < 1:
-        return
-    started = time.perf_counter()
-    if kernel == "naive":
-        for n in range(1, max_x + 1):
-            s_naive(n)
-    elif kernel == "factor":
-        for n in range(1, max_x + 1):
-            s(n)
-    else:
-        s_range(1, max_x, segment_size=segment_size, threads=threads)
-    elapsed = time.perf_counter() - started
-    click.echo(f"{kernel},{max_x},{elapsed:.6f}")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,8 @@
-"""Independent ground truth for the counting formulas and S kernels.
+"""Independent ground truth for the prime and prime-pair counts.
 
 A classic segmented, odd-only sieve of Eratosthenes with flags packed eight
 to a byte.  Nothing here shares a code path with the kernels under test;
-``oracle_s`` (the definition-literal scan re-exported from core) is the one
-sanctioned exception and the shared root of trust.
+only the integer argument checks come from core.
 """
 
 from __future__ import annotations
@@ -13,22 +12,19 @@ from math import isqrt
 
 import numpy as np
 
-from .core import Convention, _as_u64, s_naive
+from .core import _as_u64
 
 __all__ = [
     "DEFAULT_BITSET_CAP",
     "PrimeSieve",
     "oracle_pair_count",
     "oracle_pi",
-    "oracle_s",
     "pair_counts_at",
     "pi_sweep",
     "sieve_primes",
 ]
 
 DEFAULT_BITSET_CAP = 1 << 28  # bytes of packed flags; 2^28 covers limits near 4.2e9
-
-_ORACLE_S_LIMIT = 10**6
 
 
 @dataclass
@@ -173,15 +169,3 @@ def pair_counts_at(
         counts[k] = np.searchsorted(larger, xs, side="right")
     return counts
 
-
-def oracle_s(n: int) -> int:
-    """S(n) straight from the definition (delegates to the naive scan).
-
-    Kept as a named oracle so test suites depend on the definition rather
-    than the optimized kernel; restricted to n <= 10^6 to keep the scan
-    cheap.
-    """
-    n = _as_u64(n, "n", minimum=1)
-    if n > _ORACLE_S_LIMIT:
-        raise ValueError(f"oracle_s is limited to n <= {_ORACLE_S_LIMIT} (got {n})")
-    return s_naive(n, Convention.PAPER_LITERAL)

@@ -13,10 +13,11 @@ offsets of all their powers as one vector and applies every hit with
 bucket idea of Oliveira e Silva, Herzog and Pardi, Math. Comp. 83, 2014).
 
 ``iter_segments`` is the one source of S values: it yields the segments of
-a range in order, sieving the base primes once.  ``s_range`` has it write
-whole segments into one table, in parallel across the threads; the counters
-in :mod:`kempner.census` consume them one at a time in
-O(segment_size + pi(sqrt(hi))) memory, the threads splitting each segment.
+a range in order, sieving the base primes once and filling whole segments in
+parallel, at most one per thread ahead of the consumer.  ``s_range`` has it
+write them into one table; the counters in :mod:`kempner.census` consume
+them from a ring of buffers in O(threads * segment_size + pi(sqrt(hi)))
+memory.
 
 Cache files are little-endian:
 
@@ -35,9 +36,12 @@ from __future__ import annotations
 import operator
 import os
 import struct
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from math import isqrt
 
 import numpy as np
@@ -51,7 +55,7 @@ __all__ = [
     "s_range",
 ]
 
-DEFAULT_SEGMENT_SIZE = 1 << 20  # 8 MiB of u64 per segment: cache friendly, tunable
+DEFAULT_SEGMENT_SIZE = 1 << 19  # 4 MiB of u64; up to `threads` segments are in flight
 # Primes above span / _BAND_HITS (and above 13) hit a span at most about
 # _BAND_HITS times; they skip the strided loop for the bulk pass, which takes
 # _BAND_BLOCK of them per step so that its temporaries stay bounded.
@@ -255,55 +259,47 @@ def iter_segments(
 ):
     """Yield (a, values) with values[i] = S(a + i), segment by segment over [lo, hi] in order.
 
-    The base primes are sieved once per call and at most one thread pool is
-    opened; the values do not depend on the thread count.  Without ``out``,
-    ``values`` is a view of one buffer that the next segment overwrites, and
-    threads > 1 fill disjoint sub-spans of each segment, so no segment is
-    computed ahead of its consumer.  With ``out`` (indexed by j - lo) every
-    segment keeps its own slice, so whole segments run in parallel.
+    The base primes are sieved once per call; the values do not depend on
+    the thread count.  Whole segments are filled into a ring of ``threads``
+    buffers, and segment i + threads is started only once the consumer has
+    returned from segment i, so a yielded view stays valid until then and at
+    most ``threads`` segments are in flight.  One thread fills inline and
+    opens no pool.  The buffers are private unless ``out`` (indexed by
+    j - lo) is given, in which case every segment is its own slice of it.
     """
     lo = _as_u64(lo, "lo", minimum=1)
     hi = _as_u64(hi, "hi", minimum=lo)
     segment_size = operator.index(segment_size)
     if segment_size < 1:
         raise ValueError(f"segment_size must be >= 1 (got {segment_size})")
-    threads = max(1, int(threads))
+    threads = operator.index(threads)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1 (got {threads})")
     base = _small_primes(isqrt(hi))
-    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        run = pool.map if pool else map
+    if out is None:
+        ring = np.empty((threads, min(segment_size, hi - lo + 1)), np.uint64)
+
+    def fill(a: int):
+        b = min(a + segment_size - 1, hi)
         if out is None:
-            segments = _split_segments(lo, hi, segment_size, threads, base, run)
+            values = ring[(a - lo) // segment_size % threads, : b - a + 1]
         else:
-            segments = _whole_segments(out, lo, hi, segment_size, base, run)
-        for a, values in segments:
+            values = out[a - lo : b - lo + 1]
+        _fill_segment(values, a, b, base)
+        return a, values
+
+    starts = iter(range(lo, hi + 1, segment_size))
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        # One thread defers each fill until its segment is taken.
+        submit = pool.submit if pool else partial
+        ahead = deque(submit(fill, start) for start in islice(starts, threads))
+        while ahead:
+            task = ahead.popleft()
+            a, values = task.result() if pool else task()
             if a == 1:
                 values[0] = conv.s_of_one
             yield a, values
-
-
-def _whole_segments(out: np.ndarray, lo: int, hi: int, segment_size: int, base, run):
-    """Fill each segment into its own slice of out, whole segments in parallel."""
-    spans = [(a, min(a + segment_size - 1, hi)) for a in range(lo, hi + 1, segment_size)]
-    fill = lambda span: _fill_segment(  # noqa: E731
-        out[span[0] - lo : span[1] - lo + 1], *span, base
-    )
-    for (a, b), _ in zip(spans, run(fill, spans)):
-        yield a, out[a - lo : b - lo + 1]
-
-
-def _split_segments(lo: int, hi: int, segment_size: int, threads: int, base, run):
-    """Fill one reused buffer per segment, the threads taking disjoint sub-spans."""
-    buffer = np.empty(min(segment_size, hi - lo + 1), np.uint64)
-    for a in range(lo, hi + 1, segment_size):
-        b = min(a + segment_size - 1, hi)
-        values = buffer[: b - a + 1]
-        step = -(-(b - a + 1) // threads)
-        spans = [(c, min(c + step - 1, b)) for c in range(a, b + 1, step)]
-        fill = lambda span: _fill_segment(  # noqa: E731
-            values[span[0] - a : span[1] - a + 1], *span, base
-        )
-        list(run(fill, spans))
-        yield a, values
+            ahead.extend(submit(fill, start) for start in islice(starts, 1))
 
 
 def s_range(

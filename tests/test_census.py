@@ -112,6 +112,12 @@ def test_count_twin_conventions_agree():
 # --- count_pairs -------------------------------------------------------------
 
 
+def test_threads_below_one_are_rejected():
+    for threads in (0, -2):
+        with pytest.raises(ValueError):
+            count_twin(100, threads=threads)
+
+
 def test_count_pairs_examples():
     assert count_pairs(PairCountQuery(100, 2)).formula_count == 8
     for n in range(2, 9):

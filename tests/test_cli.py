@@ -260,32 +260,6 @@ def test_verify_rejects_bad_gaps(runner):
     assert runner.invoke(main, ["verify", "--max-x", "50", "--gaps", ""]).exit_code == 2
 
 
-# --- bench -----------------------------------------------------------------------
-
-
-def test_bench_empty_table(runner):
-    result = invoke(runner, "bench", "--max-x", "0")
-    assert result.exit_code == 0
-    assert result.output == "kernel,max_x,elapsed_s\n"
-
-
-def test_bench_row_format(runner):
-    result = invoke(runner, "bench", "--max-x", "2000", "--kernel", "range")
-    lines = result.output.splitlines()
-    assert lines[0] == "kernel,max_x,elapsed_s"
-    kernel, max_x, elapsed = lines[1].split(",")
-    assert kernel == "range" and max_x == "2000"
-    assert float(elapsed) >= 0.0
-
-
-def test_bench_naive_slower_than_range(runner):
-    def elapsed_of(kernel):
-        out = invoke(runner, "bench", "--max-x", "10000", "--kernel", kernel).output
-        return float(out.splitlines()[1].split(",")[2])
-
-    assert elapsed_of("naive") > elapsed_of("range")
-
-
 # --- cross-cutting ----------------------------------------------------------------
 
 
@@ -322,7 +296,7 @@ def test_verify_numbers_reproducible_from_library(runner):
 
 @pytest.mark.parametrize("command", [["twins", "1000"], ["pairs", "1000", "--gap", "4"],
                                      ["pi", "1000"], ["table", "1", "10"],
-                                     ["verify", "--max-x", "100"], ["bench", "--max-x", "10"]])
+                                     ["verify", "--max-x", "100"]])
 @pytest.mark.parametrize("option", ["--segment-size", "--threads"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_segment_and_thread_values_below_one_are_usage_errors(runner, command, option, value):

@@ -9,7 +9,6 @@ from kempner.core import is_prime
 from kempner.oracle import (
     oracle_pair_count,
     oracle_pi,
-    oracle_s,
     pair_counts_at,
     pi_sweep,
     sieve_primes,
@@ -115,15 +114,3 @@ def test_pair_counts_at_rejects_odd_or_small_gaps(sieve_100k):
         with pytest.raises(ValueError):
             pair_counts_at(np.array([100]), [gap], sieve_100k)
 
-
-def test_oracle_s_examples():
-    assert oracle_s(4) == 4
-    assert oracle_s(9) == 6
-    assert oracle_s(16) == 6
-
-
-def test_oracle_s_range_rejection():
-    with pytest.raises(ValueError):
-        oracle_s(0)
-    with pytest.raises(ValueError):
-        oracle_s(10**6 + 1)

@@ -5,6 +5,8 @@ import hashlib
 import os
 import random
 import struct
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -68,6 +70,36 @@ def test_thread_counts_give_identical_bytes():
     one = s_range(1, 300_000, PAPER, segment_size=1 << 15, threads=1)
     four = s_range(1, 300_000, PAPER, segment_size=1 << 15, threads=4)
     assert one.to_bytes() == four.to_bytes()
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_held_segment_survives_the_fills_ahead_of_it(threads):
+    # The pool fills the next segments while the consumer holds this one; a
+    # ring of fewer buffers than threads would overwrite the view held here.
+    whole = s_range(1, 3000).values
+    seen = 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for a, values in table.iter_segments(1, 3000, segment_size=100, threads=threads):
+            time.sleep(0.01)  # ample time for the fills in flight to finish
+            assert (values == whole[a - 1 : a - 1 + values.size]).all(), a
+            seen += values.size
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == 3000
+
+
+def test_many_tiny_segments_keep_memory_bounded():
+    # A bounded look-ahead is in flight, not one future per segment.
+    tracemalloc.start()
+    try:
+        tab = s_range(1, 5000, segment_size=1, threads=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert (tab.values == s_range(1, 5000).values).all()
 
 
 # Windows around c * p^k for p <= 13, among them every k > p (where
@@ -166,6 +198,11 @@ def test_rejections():
         s_range(10, 5)
     with pytest.raises(ValueError):
         s_range(1, 10, segment_size=0)
+    for threads in (0, -2):
+        with pytest.raises(ValueError):
+            s_range(1, 10, threads=threads)
+    with pytest.raises(TypeError):
+        s_range(1, 10, threads=2.0)
 
 
 def test_at_range_checks():
