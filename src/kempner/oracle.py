@@ -168,4 +168,3 @@ def pair_counts_at(
         larger = np.flatnonzero(flags[:-gap] & flags[gap:]) + gap
         counts[k] = np.searchsorted(larger, xs, side="right")
     return counts
-

@@ -109,13 +109,13 @@ def test_count_twin_conventions_agree():
         assert count_twin(x, PAPER).formula_count == count_twin(x, FORMULA).formula_count
 
 
-# --- count_pairs -------------------------------------------------------------
-
-
 def test_threads_below_one_are_rejected():
     for threads in (0, -2):
         with pytest.raises(ValueError):
             count_twin(100, threads=threads)
+
+
+# --- count_pairs -------------------------------------------------------------
 
 
 def test_count_pairs_examples():

@@ -113,4 +113,3 @@ def test_pair_counts_at_rejects_odd_or_small_gaps(sieve_100k):
     for gap in (0, 1, 3):
         with pytest.raises(ValueError):
             pair_counts_at(np.array([100]), [gap], sieve_100k)
-
