@@ -32,7 +32,7 @@ from .oracle import (
     oracle_pi,
     sieve_primes,
 )
-from .table import DEFAULT_SEGMENT_SIZE, CacheFormatError, STable, s_range
+from .table import CacheFormatError, STable, s_range
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,6 @@ __all__ = [
     "CacheFormatError",
     "Convention",
     "CountReport",
-    "DEFAULT_SEGMENT_SIZE",
     "Factorization",
     "PairCountQuery",
     "PrimeSieve",

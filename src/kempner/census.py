@@ -21,11 +21,11 @@ demonstrated and reported rather than silently hidden.
 Every count reads one stream of fixed-point flags S(j) = j for j in
 [1, x], taken segment by segment from :func:`kempner.table.iter_segments`.
 A pair counter carries the last 2n flags from one segment to the next, so
-memory is O(segment_size + 2n) rather than O(x) and one pass serves any
-number of gaps and readings.  The readings differ only in the flag at
-j = 1: it is unset in both default readings (S(1) = 0, or the sum starts
-at j = 2) and set in the literal one, where S(1) = 1 and the sum starts at
-j = 1.  All arithmetic is exact integers.
+memory is O(threads * SEGMENT_SIZE + 2n) rather than O(x) and one pass
+serves any number of gaps and readings.  The readings differ only in the
+flag at j = 1: it is unset in both default readings (S(1) = 0, or the sum
+starts at j = 2) and set in the literal one, where S(1) = 1 and the sum
+starts at j = 1.  All arithmetic is exact integers.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import Convention, _as_u64
 from .oracle import oracle_pair_count, oracle_pi
-from .table import DEFAULT_SEGMENT_SIZE, iter_segments, s_range
+from .table import iter_segments, s_range
 
 __all__ = [
     "CountReport",
@@ -45,9 +45,7 @@ __all__ = [
     "count_pairs",
     "count_primes",
     "count_twin",
-    "pair_count_sweep",
     "pair_term",
-    "prime_count_sweep",
     "trace_terms",
 ]
 
@@ -134,11 +132,11 @@ class _Tally:
         self.seen += hits.size
 
 
-def _stream(x: int, tallies: list[_Tally], segment_size: int, threads: int) -> None:
+def _stream(x: int, tallies: list[_Tally], threads: int) -> None:
     """Feed every tally the fixed-point flags of j in [1, x] from one pass over S."""
     if x < 1:
         return
-    for a, values in iter_segments(1, x, segment_size=segment_size, threads=threads):
+    for a, values in iter_segments(1, x, threads=threads):
         flags = values == np.arange(a, a + values.size, dtype=np.uint64)
         for tally in tallies:
             tally.feed(a, flags)
@@ -149,14 +147,10 @@ def _four_hits(gap: int, x):
     return (gap <= 2) * (np.asarray(x) >= 4)
 
 
-def _count(
-    x: int, gap: int, literal: bool, start: int, oracle, segment_size: int, threads: int
-) -> CountReport:
+def _count(x: int, gap: int, literal: bool, start: int, oracle, threads: int) -> CountReport:
     """The count at one x (gap 0 counts primes), read from :func:`sample_counts`."""
     started = perf_counter()
-    counts = sample_counts(
-        np.array([x]), [gap], (literal,), segment_size=segment_size, threads=threads
-    )
+    counts = sample_counts(np.array([x]), [gap], (literal,), threads=threads)
     return CountReport(
         formula_count=int(counts[0, 0, 0]),
         oracle_count=oracle() if oracle else None,
@@ -166,12 +160,10 @@ def _count(
     )
 
 
-def _count_pairs(
-    query: PairCountQuery, verify: bool, literal: bool, segment_size: int, threads: int
-) -> CountReport:
+def _count_pairs(query: PairCountQuery, verify: bool, literal: bool, threads: int) -> CountReport:
     oracle = (lambda: oracle_pair_count(query.x, query.half_gap)) if verify else None
     start = 1 if literal else query.conv.sum_start
-    return _count(query.x, query.gap, literal, start, oracle, segment_size, threads)
+    return _count(query.x, query.gap, literal, start, oracle, threads)
 
 
 def count_twin(
@@ -180,7 +172,6 @@ def count_twin(
     *,
     verify: bool = False,
     literal: bool = False,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
     threads: int = 1,
 ) -> CountReport:
     """Exact number of twin prime pairs (p, p + 2) with p + 2 <= x.
@@ -192,7 +183,7 @@ def count_twin(
     anomaly; counts then exceed the sieve by 1 for every x >= 3.
     """
     query = PairCountQuery(x, 1, conv)
-    return _count_pairs(query, verify, literal, segment_size, threads)
+    return _count_pairs(query, verify, literal, threads)
 
 
 def count_pairs(
@@ -200,7 +191,6 @@ def count_pairs(
     *,
     verify: bool = False,
     literal: bool = False,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
     threads: int = 1,
 ) -> CountReport:
     """Exact number of prime pairs (p, p + 2n) with p + 2n <= x.
@@ -211,7 +201,7 @@ def count_pairs(
     j = 1 term is included under S(1) = 1 and overcounts by one whenever
     2n + 1 is prime; that mode exists to be reported, not corrected.
     """
-    return _count_pairs(query, verify, literal, segment_size, threads)
+    return _count_pairs(query, verify, literal, threads)
 
 
 def count_primes(
@@ -219,7 +209,6 @@ def count_primes(
     conv: Convention = Convention.FORMULA_CONSISTENT,
     *,
     verify: bool = False,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
     threads: int = 1,
 ) -> CountReport:
     """pi(x) as the sum of floor(S(j)/j) for j in [2, x], minus 1 once x >= 4.
@@ -231,7 +220,7 @@ def count_primes(
     """
     x = _as_u64(x, "x")
     oracle = (lambda: oracle_pi(x)) if verify else None
-    return _count(x, 0, False, 2, oracle, segment_size, threads)
+    return _count(x, 0, False, 2, oracle, threads)
 
 
 def trace_terms(
@@ -262,46 +251,27 @@ def trace_terms(
     return rows
 
 
-def pair_count_sweep(
-    max_x: int,
-    half_gap: int,
-    literal: bool = False,
-    *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    threads: int = 1,
-) -> np.ndarray:
-    """count_pairs(x, n) for every x in [0, max_x], from one pass over S."""
-    xs = np.arange(_as_u64(max_x, "max_x") + 1, dtype=np.int64)
-    gap = 2 * _as_u64(half_gap, "half_gap", minimum=1)
-    return sample_counts(xs, [gap], (literal,), segment_size=segment_size, threads=threads)[0, 0]
-
-
-def prime_count_sweep(
-    max_x: int, *, segment_size: int = DEFAULT_SEGMENT_SIZE, threads: int = 1
-) -> np.ndarray:
-    """count_primes(x) for every x in [0, max_x], from one pass over S."""
-    xs = np.arange(_as_u64(max_x, "max_x") + 1, dtype=np.int64)
-    return sample_counts(xs, [0], (False,), segment_size=segment_size, threads=threads)[0, 0]
-
-
 def sample_counts(
     xs: np.ndarray,
     gaps: list[int],
     literal: tuple[bool, ...] = (False, True),
     *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
     threads: int = 1,
 ) -> np.ndarray:
     """Counts at ascending sample points for several gaps and readings, from one pass over S.
 
     ``counts[r, k, i]`` is the count at x = xs[i] of gap 2n = gaps[k] pairs
-    under reading literal[r], as :func:`pair_count_sweep` gives it; gap 0
-    counts primes as :func:`prime_count_sweep` does.  Each reading runs the
-    same sums over the same flags, the literal one with the flag at j = 1 set.
+    under reading literal[r], as :func:`count_pairs` gives it with
+    ``literal=literal[r]``; gap 0 counts primes as :func:`count_primes` does.
+    Each reading runs the same sums over the same flags, the literal one
+    with the flag at j = 1 set.  ``xs = np.arange(x + 1)`` gives every count
+    up to x.
     """
     xs = np.asarray(xs, dtype=np.int64)
+    if xs.size and (xs[0] < 0 or (np.diff(xs) < 0).any()):
+        raise ValueError("sample points must be ascending and >= 0")
     tallies = [_Tally(gap, one, xs) for one in literal for gap in gaps]
-    _stream(int(xs[-1]) if xs.size else 0, tallies, segment_size, threads)
+    _stream(int(xs[-1]) if xs.size else 0, tallies, threads)
     counts = np.array([t.counts for t in tallies]).reshape(len(literal), len(gaps), -1)
     counts -= np.array([_four_hits(gap, xs) for gap in gaps]).reshape(counts.shape[1:])
     return counts

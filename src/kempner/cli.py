@@ -16,7 +16,7 @@ import numpy as np
 
 from . import census, oracle
 from .core import Convention, s, s_naive
-from .table import DEFAULT_SEGMENT_SIZE, default_cache_dir, iter_segments, s_range
+from .table import default_cache_dir, iter_segments, s_range
 
 _CONVENTIONS = {
     "paper": Convention.PAPER_LITERAL,
@@ -90,13 +90,6 @@ _threads_option = click.option(
     show_default="available cores",
     help="Threads that fill the segments; output is the same for any count.",
 )
-_segment_option = click.option(
-    "--segment-size",
-    type=click.IntRange(min=1),
-    default=DEFAULT_SEGMENT_SIZE,
-    show_default=True,
-    help="Entries per processing segment.",
-)
 
 
 @click.group()
@@ -137,14 +130,11 @@ def cmd_s(n: int, convention: str, kernel: str) -> None:
 @click.option("--verify", is_flag=True, help="Also run the sieve oracle and compare.")
 @click.option("--trace", "trace_window", default=None, metavar="LO..HI",
               help="Append term-by-term rows for j in LO..HI.")
-@_segment_option
 @_threads_option
-def twins(x: int, verify: bool, trace_window: str | None, segment_size: int, threads: int) -> None:
+def twins(x: int, verify: bool, trace_window: str | None, threads: int) -> None:
     """Count twin prime pairs (p, p+2) with p+2 <= X."""
     _check_x(x, verify)
-    report = census.count_twin(
-        x, verify=verify, segment_size=segment_size, threads=threads
-    )
+    report = census.count_twin(x, verify=verify, threads=threads)
     _echo_count("x,t2", (x,), report, verify)
     if trace_window is not None:
         lo, hi = _parse_window(trace_window)
@@ -159,33 +149,24 @@ def twins(x: int, verify: bool, trace_window: str | None, segment_size: int, thr
 @click.argument("x", type=int)
 @click.option("--gap", type=int, required=True, help="Pair gap 2n (even, >= 2).")
 @click.option("--verify", is_flag=True, help="Also run the sieve oracle and compare.")
-@_segment_option
 @_threads_option
-def pairs(x: int, gap: int, verify: bool, segment_size: int, threads: int) -> None:
+def pairs(x: int, gap: int, verify: bool, threads: int) -> None:
     """Count prime pairs (p, p+GAP) with p+GAP <= X."""
     _check_x(x, verify)
     if gap < 2 or gap % 2:
         raise click.BadParameter("gap must be an even integer >= 2", param_hint="--gap")
-    report = census.count_pairs(
-        census.PairCountQuery(x, gap // 2),
-        verify=verify,
-        segment_size=segment_size,
-        threads=threads,
-    )
+    report = census.count_pairs(census.PairCountQuery(x, gap // 2), verify=verify, threads=threads)
     _echo_count("x,gap,count", (x, gap), report, verify)
 
 
 @main.command("pi")
 @click.argument("x", type=int)
 @click.option("--verify", is_flag=True, help="Also run the sieve oracle and compare.")
-@_segment_option
 @_threads_option
-def cmd_pi(x: int, verify: bool, segment_size: int, threads: int) -> None:
+def cmd_pi(x: int, verify: bool, threads: int) -> None:
     """Count primes <= X via the S-indicator sum."""
     _check_x(x, verify)
-    report = census.count_primes(
-        x, verify=verify, segment_size=segment_size, threads=threads
-    )
+    report = census.count_primes(x, verify=verify, threads=threads)
     _echo_count("x,pi", (x,), report, verify)
 
 
@@ -202,17 +183,8 @@ def cmd_pi(x: int, verify: bool, segment_size: int, threads: int) -> None:
     default="formula",
     show_default=True,
 )
-@_segment_option
 @_threads_option
-def table(
-    lo: int,
-    hi: int,
-    out_path: str | None,
-    fmt: str,
-    convention: str,
-    segment_size: int,
-    threads: int,
-) -> None:
+def table(lo: int, hi: int, out_path: str | None, fmt: str, convention: str, threads: int) -> None:
     """Tabulate S(n) for n in [LO, HI] as CSV or a binary cache file."""
     if lo < 1 or hi < lo:
         raise click.BadParameter(f"need 1 <= LO <= HI, got [{lo}, {hi}]", param_hint="lo/hi")
@@ -222,13 +194,13 @@ def table(
         try:
             with nullcontext(sys.stdout) if out_path is None else open(out_path, "w") as fh:
                 fh.write("n,s,is_fixed_point\n")
-                for a, values in iter_segments(lo, hi, conv, segment_size, threads):
+                for a, values in iter_segments(lo, hi, conv, threads=threads):
                     rows = enumerate(values.tolist(), a)
                     fh.writelines(f"{j},{v},{_bool_str(v == j)}\n" for j, v in rows)
         except OSError as exc:
             _exit_io(f"cannot write {'stdout' if out_path is None else out_path}", exc)
         return
-    stable = s_range(lo, hi, conv, segment_size=segment_size, threads=threads)
+    stable = s_range(lo, hi, conv, threads=threads)
     if out_path is None:
         cache_dir = default_cache_dir()
         try:
@@ -249,9 +221,8 @@ def table(
               help="Comma-separated even gaps to check.")
 @click.option("--step", type=int, default=1, show_default=True,
               help="Stride of the sampled x grid (max-x always included).")
-@_segment_option
 @_threads_option
-def verify(max_x: int, gaps: str, step: int, segment_size: int, threads: int) -> None:
+def verify(max_x: int, gaps: str, step: int, threads: int) -> None:
     """Sweep formula-vs-oracle comparisons; exit 1 on any default-mode mismatch.
 
     A second section evaluates the uncorrected sum-from-1, S(1)=1 reading
@@ -287,9 +258,7 @@ def verify(max_x: int, gaps: str, step: int, segment_size: int, threads: int) ->
     if add_max_x:
         xs = np.append(xs, max_x)
     # One pass over S gives every gap under both readings at the sampled x.
-    formula, literal = census.sample_counts(
-        xs, gap_list, segment_size=segment_size, threads=threads
-    )
+    formula, literal = census.sample_counts(xs, gap_list, threads=threads)
     truths = oracle.pair_counts_at(xs, gap_list)
 
     mismatches: list[tuple[int, int, int, int]] = []

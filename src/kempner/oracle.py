@@ -15,7 +15,7 @@ import numpy as np
 from .core import _as_u64
 
 __all__ = [
-    "DEFAULT_BITSET_CAP",
+    "DEFAULT_MEMORY_CAP",
     "PrimeSieve",
     "oracle_pair_count",
     "oracle_pi",
@@ -24,7 +24,10 @@ __all__ = [
     "sieve_primes",
 ]
 
-DEFAULT_BITSET_CAP = 1 << 28  # bytes of packed flags; 2^28 covers limits near 4.2e9
+# Bytes a count to a limit may take: the packed flags plus 2 bytes per n
+# (the unpacked flags and a pair mask of the same length).  2^32 covers
+# limits near 2.08e9.
+DEFAULT_MEMORY_CAP = 1 << 32
 
 
 @dataclass
@@ -76,24 +79,29 @@ def _simple_odd_primes(limit: int) -> list[int]:
     return [int(p) for p in np.flatnonzero(flags) if p % 2]
 
 
-def check_limit(limit: int, max_bytes: int = DEFAULT_BITSET_CAP) -> None:
-    """Raise ValueError when a sieve to limit would need more than max_bytes of flags."""
-    packed = ((limit + 1) // 2 + 7) // 8
-    if packed > max_bytes:
+def check_limit(limit: int, max_bytes: int = DEFAULT_MEMORY_CAP) -> None:
+    """Raise ValueError when counting to limit would take more than max_bytes.
+
+    A count holds the packed flags, then unpacks them to one byte per n
+    (:meth:`PrimeSieve.flags`) and ANDs a pair mask of the same length.
+    """
+    need = ((limit + 1) // 2 + 7) // 8 + 2 * (limit + 1)
+    if need > max_bytes:
         raise ValueError(
-            f"sieve to {limit} needs {packed} bitset bytes, over the cap of {max_bytes}"
+            f"sieve to {limit} needs {need} bytes of flags, over the cap of {max_bytes}"
         )
 
 
 def sieve_primes(
     limit: int,
-    max_bytes: int = DEFAULT_BITSET_CAP,
+    max_bytes: int = DEFAULT_MEMORY_CAP,
     segment_size: int = 1 << 20,
 ) -> PrimeSieve:
     """Segmented odd-only sieve of Eratosthenes up to limit, inclusive.
 
-    Rejects limits whose packed bitset would exceed max_bytes; working
-    memory beyond the bitset is one bool segment plus the base primes.
+    Rejects limits whose counts would take more than max_bytes (see
+    :func:`check_limit`); working memory beyond the bitset is one bool
+    segment plus the base primes.
     """
     limit = _as_u64(limit, "limit")
     check_limit(limit, max_bytes)

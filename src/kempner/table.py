@@ -13,11 +13,11 @@ offsets of all their powers as one vector and applies every hit with
 bucket idea of Oliveira e Silva, Herzog and Pardi, Math. Comp. 83, 2014).
 
 ``iter_segments`` is the one source of S values: it yields the segments of
-a range in order, sieving the base primes once and filling whole segments in
-parallel, at most one per thread ahead of the consumer.  ``s_range`` has it
-write them into one table; the counters in :mod:`kempner.census` consume
-them from a ring of buffers in O(threads * segment_size + pi(sqrt(hi)))
-memory.
+a range in order, sieving the base primes once and filling whole segments of
+``SEGMENT_SIZE`` entries in parallel, at most one per thread ahead of the
+consumer.  ``s_range`` has it write them into one table; the counters in
+:mod:`kempner.census` consume them from a ring of buffers in
+O(threads * SEGMENT_SIZE + pi(sqrt(hi))) memory.
 
 Cache files are little-endian:
 
@@ -49,13 +49,15 @@ import numpy as np
 from .core import Convention, _as_u64, s_prime_power
 
 __all__ = [
-    "DEFAULT_SEGMENT_SIZE",
     "CacheFormatError",
     "STable",
     "s_range",
 ]
 
-DEFAULT_SEGMENT_SIZE = 1 << 19  # 4 MiB of u64; up to `threads` segments are in flight
+# Entries per segment: 4 MiB of u64, and up to `threads` segments are in
+# flight.  Values and counts do not depend on it; speed at 10^9 is flat
+# from 2^17 to 2^20.  Read at each call, so tests can patch it.
+SEGMENT_SIZE = 1 << 19
 # Primes above span / _BAND_HITS (and above 13) hit a span at most about
 # _BAND_HITS times; they skip the strided loop for the bulk pass, which takes
 # _BAND_BLOCK of them per step so that its temporaries stay bounded.
@@ -253,28 +255,29 @@ def iter_segments(
     lo: int,
     hi: int,
     conv: Convention = Convention.PAPER_LITERAL,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
+    *,
     threads: int = 1,
     out: np.ndarray | None = None,
 ):
     """Yield (a, values) with values[i] = S(a + i), segment by segment over [lo, hi] in order.
 
     The base primes are sieved once per call; the values do not depend on
-    the thread count.  Whole segments are filled into a ring of ``threads``
-    buffers, and segment i + threads is started only once the consumer has
-    returned from segment i, so a yielded view stays valid until then and at
-    most ``threads`` segments are in flight.  One thread fills inline and
-    opens no pool.  The buffers are private unless ``out`` (indexed by
-    j - lo) is given, in which case every segment is its own slice of it.
+    the thread count or the segment size.  ``threads``, cut to the number of
+    segments, is the size of a ring of buffers that whole segments of
+    ``SEGMENT_SIZE`` entries are filled into, and segment i + threads is
+    started only once the consumer has returned from segment i, so a
+    yielded view stays valid until then and at most ``threads`` segments
+    are in flight.  One thread fills inline and opens no pool.  The buffers
+    are private unless ``out`` (indexed by j - lo) is given, in which case
+    every segment is its own slice of it.
     """
     lo = _as_u64(lo, "lo", minimum=1)
     hi = _as_u64(hi, "hi", minimum=lo)
-    segment_size = operator.index(segment_size)
-    if segment_size < 1:
-        raise ValueError(f"segment_size must be >= 1 (got {segment_size})")
     threads = operator.index(threads)
     if threads < 1:
         raise ValueError(f"threads must be >= 1 (got {threads})")
+    segment_size = SEGMENT_SIZE
+    threads = min(threads, -(-(hi - lo + 1) // segment_size))
     base = _small_primes(isqrt(hi))
     if out is None:
         ring = np.empty((threads, min(segment_size, hi - lo + 1)), np.uint64)
@@ -306,19 +309,18 @@ def s_range(
     lo: int,
     hi: int,
     conv: Convention = Convention.PAPER_LITERAL,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
+    *,
     threads: int = 1,
 ) -> STable:
     """Compute S(j) for every j in [lo, hi] by segmented sieving.
 
     The segments of :func:`iter_segments` are written in place into the
-    returned table; the result is bit-identical for every thread count and
-    segment size.
+    returned table; the result is bit-identical for every thread count.
     """
     lo = _as_u64(lo, "lo", minimum=1)
     hi = _as_u64(hi, "hi", minimum=lo)
     out = np.empty(hi - lo + 1, dtype=np.uint64)
-    for _ in iter_segments(lo, hi, conv, segment_size, threads, out):
+    for _ in iter_segments(lo, hi, conv, threads=threads, out=out):
         pass
     return STable(lo, hi, conv, out)
 

@@ -17,9 +17,8 @@ from kempner.census import (
     count_pairs,
     count_primes,
     count_twin,
-    pair_count_sweep,
     pair_term,
-    prime_count_sweep,
+    sample_counts,
 )
 from kempner.cli import main as cli_main
 from kempner.core import Convention, factorize, is_prime, s, s_naive
@@ -73,7 +72,7 @@ def test_criterion_2_fixed_point_law():
 def test_criterion_3_twin_formula_reproduction():
     def body():
         limit = 10**5
-        formula = pair_count_sweep(limit, 1)
+        formula = sample_counts(np.arange(limit + 1), [2], (False,))[0, 0]
         truth = pair_counts_at(np.arange(limit + 1), [2])[0]
         assert (formula[2:] == truth[2:]).all()
         rng = random.Random(31)
@@ -89,7 +88,7 @@ def test_criterion_4_gap_formula_reproduction():
         sieve = sieve_primes(limit)
         rng = random.Random(41)
         for half_gap in range(2, 11):
-            formula = pair_count_sweep(limit, half_gap)
+            formula = sample_counts(np.arange(limit + 1), [2 * half_gap], (False,))[0, 0]
             truth = pair_counts_at(np.arange(limit + 1), [2 * half_gap], sieve)[0]
             assert (formula[2:] == truth[2:]).all(), half_gap
             for x in [rng.randrange(2, limit) for _ in range(5)]:
@@ -102,7 +101,7 @@ def test_criterion_4_gap_formula_reproduction():
 def test_criterion_5_prime_count_formula():
     def body():
         limit = 10**5
-        formula = prime_count_sweep(limit)
+        formula = sample_counts(np.arange(limit + 1), [0], (False,))[0, 0]
         truth = pi_sweep(limit)
         assert (formula == truth).all()
         for x in (0, 1, 2, 3, 4, 5, 100, limit):
@@ -117,11 +116,11 @@ def test_criterion_6_literal_discrepancy_documented():
         sieve = sieve_primes(limit)
 
         xs = np.arange(limit + 1)
-        twin_delta = pair_count_sweep(limit, 1, literal=True) - pair_counts_at(xs, [2], sieve)[0]
+        twin_delta = sample_counts(xs, [2], (True,))[0, 0] - pair_counts_at(xs, [2], sieve)[0]
         assert (twin_delta[5:] == 1).all()
 
         for half_gap in range(2, 11):
-            delta = pair_count_sweep(limit, half_gap, literal=True) - pair_counts_at(
+            delta = sample_counts(xs, [2 * half_gap], (True,))[0, 0] - pair_counts_at(
                 xs, [2 * half_gap], sieve
             )[0]
             threshold = 2 * half_gap + 1

@@ -1,6 +1,7 @@
 """Counting formulas: worked terms, oracle exactness, convention behavior."""
 
 import random
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -13,9 +14,7 @@ from kempner.census import (
     count_pairs,
     count_primes,
     count_twin,
-    pair_count_sweep,
     pair_term,
-    prime_count_sweep,
     sample_counts,
     trace_terms,
 )
@@ -160,7 +159,7 @@ def test_count_primes_examples():
 
 def test_count_primes_verify_and_sweep(sieve_100k):
     assert count_primes(3000, verify=True).matches is True
-    sweep = prime_count_sweep(3000)
+    sweep = sample_counts(np.arange(3001), [0], (False,))[0, 0]
     truth = pi_sweep(3000, sieve_100k)
     assert (sweep == truth).all()
 
@@ -212,21 +211,21 @@ def test_trace_sum_reproduces_count():
 
 
 def test_twin_sweep_matches_point_function():
-    sweep = pair_count_sweep(2000, 1)
+    sweep = sample_counts(np.arange(2001), [2], (False,))[0, 0]
     rng = random.Random(5)
     for x in [0, 1, 2, 3, 4, 5] + [rng.randrange(2000) for _ in range(40)]:
         assert sweep[x] == count_twin(x).formula_count, x
 
 
 def test_pair_sweep_matches_point_function():
-    sweep = pair_count_sweep(2000, 3)
+    sweep = sample_counts(np.arange(2001), [6], (False,))[0, 0]
     rng = random.Random(6)
     for x in [0, 6, 7, 8] + [rng.randrange(2000) for _ in range(40)]:
         assert sweep[x] == count_pairs(PairCountQuery(x, 3)).formula_count, x
 
 
 def test_prime_sweep_matches_point_function():
-    sweep = prime_count_sweep(1500)
+    sweep = sample_counts(np.arange(1501), [0], (False,))[0, 0]
     for x in (0, 1, 2, 3, 4, 5, 700, 1500):
         assert sweep[x] == count_primes(x).formula_count, x
 
@@ -234,7 +233,7 @@ def test_prime_sweep_matches_point_function():
 def test_twin_monotone_with_exact_increments(sieve_100k):
     # Increment at x iff (x-2, x) is a twin pair: the larger-member reading.
     limit = 10_000
-    sweep = pair_count_sweep(limit, 1)
+    sweep = sample_counts(np.arange(limit + 1), [2], (False,))[0, 0]
     flags = sieve_100k.flags(limit)
     diffs = np.diff(sweep)
     assert (diffs >= 0).all()
@@ -245,7 +244,7 @@ def test_twin_monotone_with_exact_increments(sieve_100k):
 
 def test_sweeps_match_oracle(sieve_100k):
     for half_gap in (1, 2, 5):
-        formula = pair_count_sweep(4000, half_gap)
+        formula = sample_counts(np.arange(4001), [2 * half_gap], (False,))[0, 0]
         truth = pair_counts_at(np.arange(4001), [2 * half_gap], sieve_100k)[0]
         assert (formula == truth).all()
 
@@ -270,7 +269,7 @@ def test_published_prime_and_twin_counts(x, pi, twins):
 
 
 def test_literal_twin_overcounts_by_one_from_three(sieve_100k):
-    literal = pair_count_sweep(2000, 1, literal=True)
+    literal = sample_counts(np.arange(2001), [2], (True,))[0, 0]
     truth = pair_counts_at(np.arange(2001), [2], sieve_100k)[0]
     delta = literal - truth
     assert (delta[:3] == 0).all()
@@ -279,7 +278,7 @@ def test_literal_twin_overcounts_by_one_from_three(sieve_100k):
 
 def test_literal_pairs_overcount_iff_gap_plus_one_prime(sieve_100k):
     for half_gap in range(2, 11):
-        literal = pair_count_sweep(2000, half_gap, literal=True)
+        literal = sample_counts(np.arange(2001), [2 * half_gap], (True,))[0, 0]
         truth = pair_counts_at(np.arange(2001), [2 * half_gap], sieve_100k)[0]
         delta = literal - truth
         threshold = 2 * half_gap + 1
@@ -289,7 +288,7 @@ def test_literal_pairs_overcount_iff_gap_plus_one_prime(sieve_100k):
 
 
 def test_literal_point_count_matches_sweep():
-    literal_sweep = pair_count_sweep(300, 1, literal=True)
+    literal_sweep = sample_counts(np.arange(301), [2], (True,))[0, 0]
     for x in (2, 3, 4, 5, 17, 300):
         assert count_twin(x, literal=True).formula_count == literal_sweep[x]
 
@@ -299,6 +298,14 @@ def test_literal_point_count_matches_sweep():
 
 def test_report_elapsed_nonnegative():
     assert count_twin(100).elapsed >= 0.0
+
+
+def test_sample_points_must_ascend_from_zero():
+    # Unsorted points would read counts from the wrong segments.
+    for xs in ([100, 50], [-5, 100]):
+        with pytest.raises(ValueError):
+            sample_counts(np.array(xs), [2], (False,))
+    assert sample_counts(np.array([50, 50, 100]), [2], (False,)).ravel().tolist() == [6, 6, 8]
 
 
 def test_query_validation_and_gap():
@@ -325,20 +332,25 @@ def _stream_settings(draw):
 def test_counts_do_not_depend_on_segment_size_or_threads(case, conv, literal):
     # A segment shorter than the gap makes the carried flags span several segments.
     x, half_gap, segment_size, threads = case
-    stream = dict(segment_size=segment_size, threads=threads)
     query = PairCountQuery(x, half_gap, conv)
-    got = count_pairs(query, literal=literal, **stream)
-    want = count_pairs(query, literal=literal)
-    assert (got.formula_count, got.terms_evaluated) == (want.formula_count, want.terms_evaluated)
-    assert count_twin(x, conv, literal=literal, **stream).formula_count == count_twin(
-        x, conv, literal=literal
-    ).formula_count
-    assert count_primes(x, conv, **stream).formula_count == count_primes(x, conv).formula_count
-    np.testing.assert_array_equal(
-        pair_count_sweep(x, half_gap, literal, **stream),
-        pair_count_sweep(x, half_gap, literal),
-    )
-    np.testing.assert_array_equal(prime_count_sweep(x, **stream), prime_count_sweep(x))
+    xs = np.arange(x + 1)
+
+    def counts(threads):
+        pairs = count_pairs(query, literal=literal, threads=threads)
+        return (
+            (pairs.formula_count, pairs.terms_evaluated),
+            count_twin(x, conv, literal=literal, threads=threads).formula_count,
+            count_primes(x, conv, threads=threads).formula_count,
+            sample_counts(xs, [2 * half_gap], (literal,), threads=threads)[0, 0],
+            sample_counts(xs, [0], (False,), threads=threads)[0, 0],
+        )
+
+    want = counts(1)
+    with patch.object(table, "SEGMENT_SIZE", segment_size):
+        got = counts(threads)
+    assert got[:3] == want[:3]
+    np.testing.assert_array_equal(got[3], want[3])
+    np.testing.assert_array_equal(got[4], want[4])
 
 
 def test_one_pass_sieves_base_primes_once_and_opens_one_pool(monkeypatch):
@@ -354,5 +366,10 @@ def test_one_pass_sieves_base_primes_once_and_opens_one_pool(monkeypatch):
 
     monkeypatch.setattr(table, "_small_primes", counted("base primes", small_primes))
     monkeypatch.setattr(table, "ThreadPoolExecutor", counted("pools", pool))
-    assert count_twin(5000, segment_size=64, threads=2).formula_count == 126
+    with patch.object(table, "SEGMENT_SIZE", 64):
+        assert count_twin(5000, threads=2).formula_count == 126
     assert calls == {"base primes": 1, "pools": 1}
+    # A range of one segment fills inline, whatever the thread count.
+    calls.update({"base primes": 0, "pools": 0})
+    assert count_twin(1000, threads=2).formula_count == 35
+    assert calls == {"base primes": 1, "pools": 0}

@@ -1,6 +1,7 @@
 """CLI surface: exact output bytes, exit codes, determinism."""
 
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -179,10 +180,10 @@ def test_table_io_failure(runner):
 
 def test_table_csv_does_not_depend_on_segment_size_or_threads(runner):
     base = invoke(runner, "table", "1", "3000").output
-    for segment_size in ("1", "7", str(table.DEFAULT_SEGMENT_SIZE)):
+    for segment_size in (1, 7, table.SEGMENT_SIZE):
         for threads in ("1", "2"):
-            other = invoke(runner, "table", "1", "3000", "--segment-size", segment_size,
-                           "--threads", threads)
+            with patch.object(table, "SEGMENT_SIZE", segment_size):
+                other = invoke(runner, "table", "1", "3000", "--threads", threads)
             assert other.output == base, (segment_size, threads)
 
 
@@ -190,8 +191,8 @@ def test_table_csv_streams_in_less_memory_than_the_values(runner, tmp_path):
     path = tmp_path / "table.csv"
     tracemalloc.start()
     try:
-        result = invoke(runner, "table", "1", "200000", "--segment-size", "4096",
-                        "--out", str(path))
+        with patch.object(table, "SEGMENT_SIZE", 4096):
+            result = invoke(runner, "table", "1", "200000", "--out", str(path))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -270,10 +271,9 @@ def test_outputs_deterministic(runner):
 
 
 def test_thread_count_does_not_change_output(runner):
-    single = invoke(runner, "twins", "2000", "--verify", "--threads", "1",
-                    "--segment-size", "256")
-    multi = invoke(runner, "twins", "2000", "--verify", "--threads", "4",
-                   "--segment-size", "256")
+    with patch.object(table, "SEGMENT_SIZE", 256):
+        single = invoke(runner, "twins", "2000", "--verify", "--threads", "1")
+        multi = invoke(runner, "twins", "2000", "--verify", "--threads", "4")
     assert single.output == multi.output
 
 
@@ -284,7 +284,7 @@ def test_verify_numbers_reproducible_from_library(runner):
     result = invoke(runner, "verify", "--max-x", "400", "--gaps", "6")
     lines = result.output.splitlines()
     sieve = oracle.sieve_primes(400)
-    literal = census.pair_count_sweep(400, 3, literal=True)
+    literal = census.sample_counts(np.arange(401), [6], (True,))[0, 0]
     truth = oracle.pair_counts_at(np.arange(401), [6], sieve)[0]
     gap, x_from, x_to, delta = map(int, lines[lines.index("literal_gap,x_from,x_to,delta") + 1].split(","))
     for x in (x_from, (x_from + x_to) // 2, x_to):
@@ -302,7 +302,10 @@ def test_verify_numbers_reproducible_from_library(runner):
 def test_segment_and_thread_values_below_one_are_usage_errors(runner, command, option, value):
     result = runner.invoke(main, command + [option, value])
     assert result.exit_code == 2
-    assert f"Invalid value for '{option}'" in result.output
+    if option == "--segment-size":  # no longer an option: segment length is table.SEGMENT_SIZE
+        assert "No such option" in result.output
+    else:
+        assert f"Invalid value for '{option}'" in result.output
 
 
 @pytest.mark.parametrize("command", [["verify", "--max-x", "5000000000"],
@@ -320,6 +323,21 @@ def test_oracle_cap_rejected_before_any_work(runner, monkeypatch, command):
     assert "over the cap" in result.output
 
 
+@pytest.mark.parametrize("command", [["pi", "4000000000", "--verify"],
+                                     ["twins", "2082408385", "--verify"]])
+def test_oracle_cap_counts_the_unpacked_flags(runner, monkeypatch, command):
+    # Under 2^28 bytes of packed flags, but the unpacked flags and a pair mask
+    # of the same length take 2 bytes per n on top: over the 2^32-byte cap.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the oracle cap was checked")
+
+    monkeypatch.setattr(table, "_small_primes", no_work)
+    monkeypatch.setattr(census, "iter_segments", no_work)
+    result = runner.invoke(main, command)
+    assert result.exit_code == 2
+    assert "over the cap" in result.output
+
+
 def test_oversized_verify_grid_rejected_before_any_work(runner, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the grid size was checked")
@@ -327,7 +345,7 @@ def test_oversized_verify_grid_rejected_before_any_work(runner, monkeypatch):
     monkeypatch.setattr(np, "arange", no_work)
     monkeypatch.setattr(oracle, "sieve_primes", no_work)
     monkeypatch.setattr(census, "iter_segments", no_work)
-    result = runner.invoke(main, ["verify", "--max-x", "4000000000", "--step", "1"])
+    result = runner.invoke(main, ["verify", "--max-x", "2000000000", "--step", "1"])
     assert result.exit_code == 2
     assert "sampled x grid" in result.output
 
@@ -353,7 +371,7 @@ def test_verify_output_does_not_depend_on_threads_or_segment_size(max_x, gaps, s
     args = ["verify", "--max-x", str(max_x), "--gaps", ",".join(map(str, gaps)),
             "--step", str(step)]
     base = runner.invoke(main, args + ["--threads", "1"])
-    other = runner.invoke(main, args + ["--threads", str(threads),
-                                        "--segment-size", str(segment_size)])
+    with patch.object(table, "SEGMENT_SIZE", segment_size):
+        other = runner.invoke(main, args + ["--threads", str(threads)])
     assert base.exit_code == other.exit_code == 0
     assert other.output == base.output

@@ -7,6 +7,7 @@ import pytest
 
 from kempner.core import is_prime
 from kempner.oracle import (
+    check_limit,
     oracle_pair_count,
     oracle_pi,
     pair_counts_at,
@@ -50,6 +51,20 @@ def test_popcount_plus_two_is_pi(sieve_100k):
 def test_sieve_memory_cap():
     with pytest.raises(ValueError):
         sieve_primes(10**6, max_bytes=100)
+
+
+def test_check_limit_counts_the_unpacked_flags():
+    # To 100: 7 bytes of packed flags (50 odd n), then 101 bytes of unpacked
+    # flags and 101 of a pair mask.
+    check_limit(100, max_bytes=209)
+    with pytest.raises(ValueError, match="over the cap"):
+        check_limit(100, max_bytes=208)
+    # The default cap of 2^32 bytes ends near 2.08e9, not at 2^28 packed bytes
+    # (near 4.29e9).
+    check_limit(2_082_408_384)
+    for limit in (2_082_408_385, 4_000_000_000):
+        with pytest.raises(ValueError, match="over the cap"):
+            check_limit(limit)
 
 
 def test_segmentation_does_not_change_flags():

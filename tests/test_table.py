@@ -8,6 +8,7 @@ import struct
 import sys
 import time
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -55,9 +56,11 @@ def test_full_sweep_matches_factorization_kernel():
 
 
 def test_segment_boundaries_do_not_matter():
-    whole = s_range(1, 1000, segment_size=1000)
+    with patch.object(table, "SEGMENT_SIZE", 1000):
+        whole = s_range(1, 1000)
     for seg in (1, 7, 64, 999):
-        assert (s_range(1, 1000, segment_size=seg).values == whole.values).all()
+        with patch.object(table, "SEGMENT_SIZE", seg):
+            assert (s_range(1, 1000).values == whole.values).all()
 
 
 def test_offset_range_does_not_depend_on_convention():
@@ -67,8 +70,9 @@ def test_offset_range_does_not_depend_on_convention():
 
 
 def test_thread_counts_give_identical_bytes():
-    one = s_range(1, 300_000, PAPER, segment_size=1 << 15, threads=1)
-    four = s_range(1, 300_000, PAPER, segment_size=1 << 15, threads=4)
+    with patch.object(table, "SEGMENT_SIZE", 1 << 15):
+        one = s_range(1, 300_000, PAPER, threads=1)
+        four = s_range(1, 300_000, PAPER, threads=4)
     assert one.to_bytes() == four.to_bytes()
 
 
@@ -81,10 +85,11 @@ def test_held_segment_survives_the_fills_ahead_of_it(threads):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for a, values in table.iter_segments(1, 3000, segment_size=100, threads=threads):
-            time.sleep(0.01)  # ample time for the fills in flight to finish
-            assert (values == whole[a - 1 : a - 1 + values.size]).all(), a
-            seen += values.size
+        with patch.object(table, "SEGMENT_SIZE", 100):
+            for a, values in table.iter_segments(1, 3000, threads=threads):
+                time.sleep(0.01)  # ample time for the fills in flight to finish
+                assert (values == whole[a - 1 : a - 1 + values.size]).all(), a
+                seen += values.size
     finally:
         sys.setswitchinterval(interval)
     assert seen == 3000
@@ -94,7 +99,8 @@ def test_many_tiny_segments_keep_memory_bounded():
     # A bounded look-ahead is in flight, not one future per segment.
     tracemalloc.start()
     try:
-        tab = s_range(1, 5000, segment_size=1, threads=2)
+        with patch.object(table, "SEGMENT_SIZE", 1):
+            tab = s_range(1, 5000, threads=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -127,7 +133,8 @@ def _windows(draw):
 @given(_windows(), st.sampled_from([PAPER, FORMULA]))
 def test_windows_match_scalar_kernel(window, conv):
     lo, hi, segment_size = window
-    tab = s_range(lo, hi, conv, segment_size=segment_size)
+    with patch.object(table, "SEGMENT_SIZE", segment_size):
+        tab = s_range(lo, hi, conv)
     assert tab.values.tolist() == [s(j, conv) for j in range(lo, hi + 1)]
 
 
@@ -138,8 +145,9 @@ def test_thirteen_past_the_exponent_bound():
     # through the bulk pass, seven times over.
     lo = 13**14 - 3
     expected = [s(j) for j in range(lo, lo + 7)]
-    for segment_size in (1, table.DEFAULT_SEGMENT_SIZE):
-        assert s_range(lo, lo + 6, segment_size=segment_size).values.tolist() == expected
+    for segment_size in (1, table.SEGMENT_SIZE):
+        with patch.object(table, "SEGMENT_SIZE", segment_size):
+            assert s_range(lo, lo + 6).values.tolist() == expected
 
 
 def _plain_sieve(limit):
@@ -168,7 +176,8 @@ _SPAN = 20 * table._BAND_HITS
 def test_band_edge_windows(power, where):
     centre = power << _SPAN.bit_length()  # an odd p^k times a power of 2 past the span
     lo = {"first": centre, "middle": centre - _SPAN // 2, "last": centre - _SPAN + 1}[where]
-    tab = s_range(lo, lo + _SPAN - 1, segment_size=_SPAN)
+    with patch.object(table, "SEGMENT_SIZE", _SPAN):
+        tab = s_range(lo, lo + _SPAN - 1)
     assert tab.values.tolist() == [s(j) for j in range(lo, lo + _SPAN)]
 
 
@@ -176,10 +185,12 @@ def test_large_window_identical_over_threads_and_segments():
     # 999983, the largest prime below 10^6, is a base prime of every window
     # near 10^12; its square is in this one.
     lo = 999983**2 - 100
-    whole = s_range(lo, lo + 200, segment_size=1 << 19).to_bytes()
+    with patch.object(table, "SEGMENT_SIZE", 1 << 19):
+        whole = s_range(lo, lo + 200).to_bytes()
     for segment_size in (1, 7, 1 << 19):
         for threads in (1, 2):
-            tab = s_range(lo, lo + 200, segment_size=segment_size, threads=threads)
+            with patch.object(table, "SEGMENT_SIZE", segment_size):
+                tab = s_range(lo, lo + 200, threads=threads)
             assert tab.to_bytes() == whole, (segment_size, threads)
     assert tab.values.tolist() == [s(j) for j in range(lo, lo + 201)]
 
@@ -196,8 +207,6 @@ def test_rejections():
         s_range(0, 10)
     with pytest.raises(ValueError):
         s_range(10, 5)
-    with pytest.raises(ValueError):
-        s_range(1, 10, segment_size=0)
     for threads in (0, -2):
         with pytest.raises(ValueError):
             s_range(1, 10, threads=threads)
