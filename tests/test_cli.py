@@ -311,23 +311,12 @@ def test_segment_and_thread_values_below_one_are_usage_errors(runner, command, o
 @pytest.mark.parametrize("command", [["verify", "--max-x", "5000000000"],
                                      ["twins", "5000000000", "--verify"],
                                      ["pairs", "5000000000", "--gap", "6", "--verify"],
-                                     ["pi", "5000000000", "--verify"]])
-def test_oracle_cap_rejected_before_any_work(runner, monkeypatch, command):
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the oracle cap was checked")
-
-    monkeypatch.setattr(table, "_small_primes", no_work)
-    monkeypatch.setattr(census, "iter_segments", no_work)
-    result = runner.invoke(main, command)
-    assert result.exit_code == 2
-    assert "over the cap" in result.output
-
-
-@pytest.mark.parametrize("command", [["pi", "4000000000", "--verify"],
+                                     ["pi", "5000000000", "--verify"],
+                                     # Under 2^28 packed bytes, but over the 2^32-byte cap
+                                     # once the unpacked flags and a pair mask count.
+                                     ["pi", "4000000000", "--verify"],
                                      ["twins", "2082408385", "--verify"]])
-def test_oracle_cap_counts_the_unpacked_flags(runner, monkeypatch, command):
-    # Under 2^28 bytes of packed flags, but the unpacked flags and a pair mask
-    # of the same length take 2 bytes per n on top: over the 2^32-byte cap.
+def test_oracle_cap_rejected_before_any_work(runner, monkeypatch, command):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the oracle cap was checked")
 
