@@ -50,6 +50,12 @@ __all__ = [
 ]
 
 
+# The hits of composite fixed points in the sums, by gap (0 counts fixed
+# points alone) -> larger member: 4 alone, and the pair (2, 4).  Each is one
+# spurious hit in every count that reaches its larger member.
+_COMPOSITE_HITS = {0: 4, 2: 4}
+
+
 @dataclass(frozen=True)
 class PairCountQuery:
     """One counting run: pairs (p, p + 2*half_gap) with the larger member <= x."""
@@ -142,11 +148,6 @@ def _stream(x: int, tallies: list[_Tally], threads: int) -> None:
             tally.feed(a, flags)
 
 
-def _four_hits(gap: int, x):
-    """Hits of the composite fixed point 4, alone (gap 0) or as (2, 4): 1 once x >= 4."""
-    return (gap <= 2) * (np.asarray(x) >= 4)
-
-
 def _count(x: int, gap: int, literal: bool, start: int, oracle, threads: int) -> CountReport:
     """The count at one x (gap 0 counts primes), read from :func:`sample_counts`."""
     started = perf_counter()
@@ -154,7 +155,7 @@ def _count(x: int, gap: int, literal: bool, start: int, oracle, threads: int) ->
     return CountReport(
         formula_count=int(counts[0, 0, 0]),
         oracle_count=oracle() if oracle else None,
-        correction_applied=-int(_four_hits(gap, x)),
+        correction_applied=-int(x >= _COMPOSITE_HITS.get(gap, x + 1)),
         terms_evaluated=max(0, x - gap - start + 1),
         elapsed=perf_counter() - started,
     )
@@ -270,8 +271,13 @@ def sample_counts(
     xs = np.asarray(xs, dtype=np.int64)
     if xs.size and (xs[0] < 0 or (np.diff(xs) < 0).any()):
         raise ValueError("sample points must be ascending and >= 0")
-    tallies = [_Tally(gap, one, xs) for one in literal for gap in gaps]
-    _stream(int(xs[-1]) if xs.size else 0, tallies, threads)
+    top = int(xs[-1]) if xs.size else 0
+    # No pair up to top has a gap of top or more, so such a gap counts as top
+    # does and carries no more than top flags.
+    tallies = [_Tally(min(gap, top), one, xs) for one in literal for gap in gaps]
+    _stream(top, tallies, threads)
     counts = np.array([t.counts for t in tallies]).reshape(len(literal), len(gaps), -1)
-    counts -= np.array([_four_hits(gap, xs) for gap in gaps]).reshape(counts.shape[1:])
+    for k, gap in enumerate(gaps):
+        if gap in _COMPOSITE_HITS:
+            counts[:, k] -= xs >= _COMPOSITE_HITS[gap]
     return counts

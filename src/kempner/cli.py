@@ -15,7 +15,7 @@ import click
 import numpy as np
 
 from . import census, oracle
-from .core import Convention, s, s_naive
+from .core import U64_MAX, Convention, s
 from .table import default_cache_dir, iter_segments, s_range
 
 _CONVENTIONS = {
@@ -29,6 +29,16 @@ _EXIT_IO = 3
 # Largest sampled x grid `verify` accepts.  Its arrays take about 30 bytes
 # per point and gap, so about 30 MiB per gap at the limit.
 MAX_VERIFY_POINTS = 1 << 20
+# Largest `--trace` window: its rows are held in memory, about 150 bytes each.
+MAX_TRACE_ROWS = 1 << 20
+# Most threads `--threads` accepts: each holds a segment buffer of
+# table.SEGMENT_SIZE u64 (4 MiB) and an OS thread while it fills.
+MAX_THREADS = 4 * (os.cpu_count() or 1)
+
+# The counters and the oracle index x and the gaps as int64; S takes any u64.
+_I64_MAX = int(np.iinfo(np.int64).max)
+_X = click.IntRange(0, _I64_MAX)
+_N = click.IntRange(1, U64_MAX)
 
 
 def _bool_str(flag: bool) -> str:
@@ -58,16 +68,8 @@ def _exit_io(what: str, exc: OSError) -> None:
     sys.exit(_EXIT_IO)
 
 
-def _positive_check(name: str, value: int, minimum: int) -> int:
-    if value < minimum:
-        raise click.BadParameter(f"{name} must be >= {minimum}", param_hint=name)
-    return value
-
-
-def _check_x(x: int, verify: bool, name: str = "x") -> None:
-    """Reject a negative x and, before any work, an x to be verified whose
-    oracle sieve would pass the bitset cap."""
-    _positive_check(name, x, 0)
+def _check_cap(x: int, verify: bool, name: str = "x") -> None:
+    """Reject, before any work, an x to verify whose oracle would pass its memory cap."""
     if verify:
         try:
             oracle.check_limit(x)
@@ -75,21 +77,42 @@ def _check_x(x: int, verify: bool, name: str = "x") -> None:
             raise click.BadParameter(str(exc), param_hint=name)
 
 
-def _parse_window(text: str) -> tuple[int, int]:
+def _gaps(ctx, param, value) -> list[int]:
+    """Comma-separated pair gaps (``pairs --gap`` arrives as one int), each even and >= 2."""
     try:
-        lo_text, hi_text = text.split("..", 1)
-        return int(lo_text), int(hi_text)
+        gaps = [int(piece) for piece in str(value).split(",") if piece.strip()]
     except ValueError:
-        raise click.BadParameter(f"expected LO..HI, got {text!r}", param_hint="--trace")
+        raise click.BadParameter(f"expected comma-separated integers, got {value!r}")
+    if not gaps or any(g < 2 or g % 2 or g > _I64_MAX for g in gaps):
+        raise click.BadParameter(f"gaps must be even integers from 2 to {_I64_MAX - 1}")
+    return gaps
+
+
+def _window(ctx, param, text: str | None) -> tuple[int, int] | None:
+    """The window LO..HI of ``--trace``: 1 <= LO <= HI, at most MAX_TRACE_ROWS rows."""
+    if text is None:
+        return None
+    try:
+        lo, hi = (int(part) for part in text.split(".."))
+    except ValueError:
+        raise click.BadParameter(f"expected LO..HI, got {text!r}")
+    if not 1 <= lo <= hi < lo + MAX_TRACE_ROWS:
+        raise click.BadParameter(f"need 1 <= LO <= HI, at most {MAX_TRACE_ROWS} rows; got {text!r}")
+    return lo, hi
 
 
 _threads_option = click.option(
     "--threads",
-    type=click.IntRange(min=1),
+    type=click.IntRange(1, MAX_THREADS),
     default=lambda: os.cpu_count() or 1,
     show_default="available cores",
     help="Threads that fill the segments; output is the same for any count.",
 )
+
+
+def _convention_option(default: str):
+    return click.option("--convention", type=click.Choice(sorted(_CONVENTIONS)), default=default,
+                        show_default=True, help="Value of S(1): paper keeps 1, formula uses 0.")
 
 
 @click.group()
@@ -99,95 +122,69 @@ def main() -> None:
 
 
 @main.command("s")
-@click.argument("n", type=int)
-@click.option(
-    "--convention",
-    type=click.Choice(sorted(_CONVENTIONS)),
-    default="paper",
-    show_default=True,
-    help="Value of S(1): paper keeps 1, formula uses 0.",
-)
-@click.option(
-    "--kernel",
-    type=click.Choice(["naive", "factor"]),
-    default="factor",
-    show_default=True,
-    help="naive scans the definition; factor reduces to prime powers.",
-)
-def cmd_s(n: int, convention: str, kernel: str) -> None:
+@click.argument("n", type=_N)
+@_convention_option("paper")
+def cmd_s(n: int, convention: str) -> None:
     """Print S(N)."""
-    _positive_check("n", n, 1)
-    conv = _CONVENTIONS[convention]
-    try:
-        value = s_naive(n, conv) if kernel == "naive" else s(n, conv)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint="n")
-    _echo_rows("n,s", [(n, value)])
+    _echo_rows("n,s", [(n, s(n, _CONVENTIONS[convention]))])
 
 
 @main.command()
-@click.argument("x", type=int)
+@click.argument("x", type=_X)
 @click.option("--verify", is_flag=True, help="Also run the sieve oracle and compare.")
-@click.option("--trace", "trace_window", default=None, metavar="LO..HI",
-              help="Append term-by-term rows for j in LO..HI.")
+@click.option("--trace", "window", default=None, metavar="LO..HI", callback=_window,
+              help=f"Append term-by-term rows for j in LO..HI (at most {MAX_TRACE_ROWS}).")
 @_threads_option
-def twins(x: int, verify: bool, trace_window: str | None, threads: int) -> None:
+def twins(x: int, verify: bool, window: tuple[int, int] | None, threads: int) -> None:
     """Count twin prime pairs (p, p+2) with p+2 <= X."""
-    _check_x(x, verify)
+    _check_cap(x, verify)
+    if window is not None and window[1] > x - 2:
+        raise click.BadParameter(f"window must lie within [1, {x - 2}]", param_hint="--trace")
     report = census.count_twin(x, verify=verify, threads=threads)
     _echo_count("x,t2", (x,), report, verify)
-    if trace_window is not None:
-        lo, hi = _parse_window(trace_window)
-        try:
-            rows = census.trace_terms(census.PairCountQuery(x, 1), (lo, hi))
-        except ValueError as exc:
-            raise click.BadParameter(str(exc), param_hint="--trace")
-        _echo_rows("j,s_j,s_j_plus_gap,term", rows)
+    if window is not None:
+        _echo_rows("j,s_j,s_j_plus_gap,term",
+                   census.trace_terms(census.PairCountQuery(x, 1), window))
 
 
 @main.command()
-@click.argument("x", type=int)
-@click.option("--gap", type=int, required=True, help="Pair gap 2n (even, >= 2).")
+@click.argument("x", type=_X)
+@click.option("--gap", "gaps", type=int, required=True, callback=_gaps,
+              help="Pair gap 2n (even, >= 2).")
 @click.option("--verify", is_flag=True, help="Also run the sieve oracle and compare.")
 @_threads_option
-def pairs(x: int, gap: int, verify: bool, threads: int) -> None:
+def pairs(x: int, gaps: list[int], verify: bool, threads: int) -> None:
     """Count prime pairs (p, p+GAP) with p+GAP <= X."""
-    _check_x(x, verify)
-    if gap < 2 or gap % 2:
-        raise click.BadParameter("gap must be an even integer >= 2", param_hint="--gap")
+    _check_cap(x, verify)
+    (gap,) = gaps
     report = census.count_pairs(census.PairCountQuery(x, gap // 2), verify=verify, threads=threads)
     _echo_count("x,gap,count", (x, gap), report, verify)
 
 
 @main.command("pi")
-@click.argument("x", type=int)
+@click.argument("x", type=_X)
 @click.option("--verify", is_flag=True, help="Also run the sieve oracle and compare.")
 @_threads_option
 def cmd_pi(x: int, verify: bool, threads: int) -> None:
     """Count primes <= X via the S-indicator sum."""
-    _check_x(x, verify)
+    _check_cap(x, verify)
     report = census.count_primes(x, verify=verify, threads=threads)
     _echo_count("x,pi", (x,), report, verify)
 
 
 @main.command()
-@click.argument("lo", type=int)
-@click.argument("hi", type=int)
+@click.argument("lo", type=_N)
+@click.argument("hi", type=_N)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Destination file (default: stdout for csv, cache dir for cache).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "cache"]), default="csv",
               show_default=True)
-@click.option(
-    "--convention",
-    type=click.Choice(sorted(_CONVENTIONS)),
-    default="formula",
-    show_default=True,
-)
+@_convention_option("formula")
 @_threads_option
 def table(lo: int, hi: int, out_path: str | None, fmt: str, convention: str, threads: int) -> None:
     """Tabulate S(n) for n in [LO, HI] as CSV or a binary cache file."""
-    if lo < 1 or hi < lo:
-        raise click.BadParameter(f"need 1 <= LO <= HI, got [{lo}, {hi}]", param_hint="lo/hi")
+    if hi < lo:
+        raise click.BadParameter(f"need LO <= HI, got [{lo}, {hi}]", param_hint="lo/hi")
     conv = _CONVENTIONS[convention]
     if fmt == "csv":
         # Opened before any work; each segment is written as soon as it is filled.
@@ -216,36 +213,20 @@ def table(lo: int, hi: int, out_path: str | None, fmt: str, convention: str, thr
 
 
 @main.command()
-@click.option("--max-x", type=int, required=True, help="Largest x to check.")
-@click.option("--gaps", default="2", show_default=True,
+@click.option("--max-x", type=_X, required=True, help="Largest x to check.")
+@click.option("--gaps", "gap_list", default="2", show_default=True, callback=_gaps,
               help="Comma-separated even gaps to check.")
-@click.option("--step", type=int, default=1, show_default=True,
+@click.option("--step", type=click.IntRange(min=1), default=1, show_default=True,
               help="Stride of the sampled x grid (max-x always included).")
 @_threads_option
-def verify(max_x: int, gaps: str, step: int, threads: int) -> None:
+def verify(max_x: int, gap_list: list[int], step: int, threads: int) -> None:
     """Sweep formula-vs-oracle comparisons; exit 1 on any default-mode mismatch.
 
     A second section evaluates the uncorrected sum-from-1, S(1)=1 reading
     and reports (without failing) the x where it departs from the sieve;
     runs of consecutive sampled x with one delta compress to a single row.
     """
-    _check_x(max_x, True, "--max-x")
-    _positive_check("--step", step, 1)
-    gap_list = []
-    for piece in gaps.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        try:
-            g = int(piece)
-        except ValueError:
-            raise click.BadParameter(f"bad gap {piece!r}", param_hint="--gaps")
-        if g < 2 or g % 2:
-            raise click.BadParameter("gaps must be even integers >= 2", param_hint="--gaps")
-        gap_list.append(g)
-    if not gap_list:
-        raise click.BadParameter("no gaps given", param_hint="--gaps")
-
+    _check_cap(max_x, True, "--max-x")
     grid = range(2, max_x + 1, step)
     add_max_x = bool(grid) and grid[-1] != max_x
     if len(grid) + add_max_x > MAX_VERIFY_POINTS:
@@ -281,19 +262,12 @@ def verify(max_x: int, gaps: str, step: int, threads: int) -> None:
 
 
 def _runs(xs: np.ndarray, delta: np.ndarray):
-    """Yield (x_from, x_to, delta) runs over the nonzero entries of delta."""
-    run_start = None
-    run_delta = 0
-    prev_x = None
-    for x, d in zip(xs.tolist(), delta.tolist()):
-        if d == run_delta and run_start is not None:
-            prev_x = x
-            continue
-        if run_start is not None and run_delta != 0:
-            yield (run_start, prev_x, run_delta)
-        run_start, run_delta, prev_x = (x, d, x) if d != 0 else (None, 0, x)
-    if run_start is not None and run_delta != 0:
-        yield (run_start, prev_x, run_delta)
+    """(x_from, x_to, delta) for each run of one nonzero delta over consecutive entries."""
+    # With a 0 before and after, every change of delta ends one run and starts the next.
+    edges = np.flatnonzero(np.diff(delta, prepend=0, append=0))
+    starts, stops = edges[:-1], edges[1:] - 1
+    keep = delta[starts] != 0
+    return zip(xs[starts[keep]].tolist(), xs[stops[keep]].tolist(), delta[starts[keep]].tolist())
 
 
 if __name__ == "__main__":

@@ -22,6 +22,8 @@ from enum import Enum
 from functools import lru_cache
 from math import gcd, isqrt, prod
 
+import numpy as np
+
 __all__ = [
     "U64_MAX",
     "Convention",
@@ -149,18 +151,22 @@ class Factorization:
         return len(self.factors)
 
 
-def _primes_below(bound: int) -> tuple[int, ...]:
-    """The primes below bound (the trial divisors of factorize), by a sieve:
-    is_prime on every candidate would add 10 ms to each import."""
-    flags = bytearray([1]) * bound
-    flags[:2] = b"\x00\x00"
-    for p in range(2, isqrt(bound - 1) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytes(len(range(p * p, bound, p)))
-    return tuple(p for p in range(bound) if flags[p])
+def _small_primes(limit: int) -> np.ndarray:
+    """All primes <= limit by a sieve over the odd numbers: the trial divisors
+    of factorize and the base primes of the range kernel."""
+    if limit < 2:
+        return np.empty(0, dtype=np.int64)
+    odd = np.ones((limit + 1) // 2, dtype=bool)  # odd[i] stands for 2i + 1
+    odd[0] = False
+    for i in range(1, (isqrt(limit) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    primes = 2 * np.flatnonzero(odd) + 1
+    return np.concatenate((np.array([2], dtype=primes.dtype), primes))
 
 
-_TRIAL_PRIMES = _primes_below(_TRIAL_BOUND)
+_TRIAL_PRIMES = tuple(_small_primes(_TRIAL_BOUND - 1).tolist())
 _TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
 
 

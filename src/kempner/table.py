@@ -46,7 +46,7 @@ from math import isqrt
 
 import numpy as np
 
-from .core import Convention, _as_u64, s_prime_power
+from .core import Convention, _as_u64, _small_primes, s_prime_power
 
 __all__ = [
     "CacheFormatError",
@@ -174,20 +174,6 @@ class STable:
             blob = bytearray(os.fstat(fh.fileno()).st_size)
             del blob[fh.readinto(blob) :]  # a file cut short while read leaves no zeros
         return cls.from_bytes(blob)
-
-
-def _small_primes(limit: int) -> np.ndarray:
-    """All primes <= limit by a sieve over the odd numbers (base primes for the range kernel)."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    odd = np.ones((limit + 1) // 2, dtype=bool)  # odd[i] stands for 2i + 1
-    odd[0] = False
-    for i in range(1, (isqrt(limit) + 1) // 2):
-        if odd[i]:
-            p = 2 * i + 1
-            odd[p * p // 2 :: p] = False
-    primes = 2 * np.flatnonzero(odd) + 1
-    return np.concatenate((np.array([2], dtype=primes.dtype), primes))
 
 
 def _fill_segment(dest: np.ndarray, a: int, b: int, base: np.ndarray) -> None:

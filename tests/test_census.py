@@ -1,6 +1,7 @@
 """Counting formulas: worked terms, oracle exactness, convention behavior."""
 
 import random
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -306,6 +307,20 @@ def test_sample_points_must_ascend_from_zero():
         with pytest.raises(ValueError):
             sample_counts(np.array(xs), [2], (False,))
     assert sample_counts(np.array([50, 50, 100]), [2], (False,)).ravel().tolist() == [6, 6, 8]
+
+
+def test_gaps_past_x_count_zero_without_holding_gap_flags():
+    # A pair count carries its last `gap` flags; past x none can pair.
+    xs = np.arange(101)
+    tracemalloc.start()
+    try:
+        counts = sample_counts(xs, [4, 10**12], (False, True))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert (counts[:, 1] == 0).all()
+    assert (counts[:, 0] == pair_counts_at(xs, [4])[0] + [[0], [1]] * (xs >= 5)).all()
 
 
 def test_query_validation_and_gap():

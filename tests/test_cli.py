@@ -1,5 +1,6 @@
 """CLI surface: exact output bytes, exit codes, determinism."""
 
+import itertools
 import tracemalloc
 from unittest.mock import patch
 
@@ -24,6 +25,25 @@ def invoke(runner, *args, **kwargs):
     return runner.invoke(main, list(args), catch_exceptions=False, **kwargs)
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if any S value, table or count is computed."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    for module, name in ((census, "iter_segments"), (cli, "iter_segments"),
+                         (table, "_small_primes"), (cli, "s")):
+        monkeypatch.setattr(module, name, fail)
+
+
+def assert_usage_error(result):
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Invalid value for" in result.output
+    assert "Traceback" not in result.output
+
+
 # --- s -------------------------------------------------------------------------
 
 
@@ -36,12 +56,6 @@ def test_s_basic(runner):
 def test_s_convention_paper(runner):
     assert invoke(runner, "s", "1", "--convention", "paper").output == "n,s\n1,1\n"
     assert invoke(runner, "s", "1", "--convention", "formula").output == "n,s\n1,0\n"
-
-
-def test_s_kernels_agree(runner):
-    naive = invoke(runner, "s", "6", "--kernel", "naive").output
-    factor = invoke(runner, "s", "6", "--kernel", "factor").output
-    assert naive == factor == "n,s\n6,3\n"
 
 
 def test_s_rejects_zero(runner):
@@ -77,9 +91,16 @@ def test_twins_trace_rows(runner):
     assert lines[-1] == "9,6,11,0"
 
 
-def test_twins_trace_bad_window(runner):
-    assert runner.invoke(main, ["twins", "20", "--trace", "9..3"]).exit_code == 2
-    assert runner.invoke(main, ["twins", "20", "--trace", "zap"]).exit_code == 2
+def test_twins_trace_bad_window(runner, no_work):
+    # Each is rejected before the count starts; 1..19 passes x - 2 = 18.
+    for window in ("9..3", "zap", "0..3", "1..19", "1..2..3", f"1..{2**64}"):
+        assert_usage_error(runner.invoke(main, ["twins", "20", "--trace", window]))
+
+
+def test_twins_trace_window_limit(runner, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_TRACE_ROWS", 7)
+    assert invoke(runner, "twins", "30", "--trace", "3..9").output.splitlines()[-1] == "9,6,11,0"
+    assert_usage_error(runner.invoke(main, ["twins", "30", "--trace", "3..10"]))
 
 
 # --- pairs ----------------------------------------------------------------------
@@ -294,6 +315,34 @@ def test_verify_numbers_reproducible_from_library(runner):
 # --- usage errors ------------------------------------------------------------------
 
 
+_2_64 = str(2**64)
+
+
+@pytest.mark.parametrize("args", [
+    ["s", "--", "-1"], ["s", "0"], ["s", _2_64],
+    ["twins", "--", "-1"], ["twins", str(2**63)], ["twins", _2_64],
+    ["pairs", "--gap", "4", "--", "-1"], ["pairs", _2_64, "--gap", "4"],
+    ["pairs", "100", "--gap", "-2"], ["pairs", "100", "--gap", "0"],
+    ["pairs", "100", "--gap", _2_64], ["pairs", "100", "--gap", "4,6"],
+    ["pi", "--", "-1"], ["pi", _2_64],
+    ["table", "--", "-1", "5"], ["table", "0", "5"], ["table", "--", "1", "-1"],
+    ["table", "1", "0"], ["table", "1", _2_64], ["table", str(2**64 - 1), _2_64],
+    ["verify", "--max-x", "-1"], ["verify", "--max-x", _2_64],
+    ["verify", "--max-x", "10", "--step", "-1"], ["verify", "--max-x", "10", "--step", "0"],
+    ["verify", "--max-x", "10", "--gaps", "2,-2"], ["verify", "--max-x", "10", "--gaps", "0"],
+    ["verify", "--max-x", "10", "--gaps", f"2,{_2_64}"],
+])  # fmt: skip
+def test_integer_arguments_out_of_range_are_usage_errors(runner, no_work, args):
+    assert_usage_error(runner.invoke(main, args))
+
+
+@pytest.mark.parametrize("command", [["twins", "10000000"], ["pairs", "10000000", "--gap", "4"],
+                                     ["pi", "10000000"], ["table", "1", "10000000"],
+                                     ["verify", "--max-x", "1000000"]])
+def test_threads_over_the_limit_are_usage_errors(runner, no_work, command):
+    assert_usage_error(runner.invoke(main, command + ["--threads", str(cli.MAX_THREADS + 1)]))
+
+
 @pytest.mark.parametrize("command", [["twins", "1000"], ["pairs", "1000", "--gap", "4"],
                                      ["pi", "1000"], ["table", "1", "10"],
                                      ["verify", "--max-x", "100"]])
@@ -345,6 +394,34 @@ def test_verify_grid_limit_counts_the_forced_max_x(runner, monkeypatch):
     assert runner.invoke(main, args).exit_code == 0
     monkeypatch.setattr(cli, "MAX_VERIFY_POINTS", 10)
     assert runner.invoke(main, args).exit_code == 2
+
+
+# --- literal runs -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("delta, runs", [
+    ([], []),
+    ([0, 0, 0], []),
+    ([2, 2, 0, 0], [(3, 10, 2)]),
+    ([0, 0, -1, -1], [(17, 24, -1)]),
+    ([1, 1, 3, 3, 3], [(3, 10, 1), (17, 31, 3)]),
+])  # fmt: skip
+def test_runs_compress_equal_nonzero_deltas(delta, runs):
+    xs = 3 + 7 * np.arange(len(delta), dtype=np.int64)
+    assert list(cli._runs(xs, np.array(delta, dtype=np.int64))) == runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2, 2), max_size=40))
+def test_runs_match_a_plain_grouping(delta):
+    xs = 3 + 7 * np.arange(len(delta), dtype=np.int64)
+    expected, i = [], 0
+    for d, group in itertools.groupby(delta):
+        n = len(list(group))
+        if d:
+            expected.append((int(xs[i]), int(xs[i + n - 1]), d))
+        i += n
+    assert list(cli._runs(xs, np.array(delta, dtype=np.int64))) == expected
 
 
 # --- thread count and segment size --------------------------------------------------

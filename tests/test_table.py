@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kempner import table
+from kempner import core, table
 from kempner.core import Convention, s
 from kempner.table import CacheFormatError, STable, s_range
 
@@ -164,6 +164,7 @@ def test_small_primes_match_a_plain_sieve():
     for limit in range(3001):
         assert table._small_primes(limit).tolist() == ref[ref <= limit].tolist(), limit
     assert (table._small_primes(10**6 + 3) == _plain_sieve(10**6 + 3)).all()
+    assert core._TRIAL_PRIMES == tuple(_plain_sieve(core._TRIAL_BOUND - 1).tolist())
 
 
 # A span of 20 * _BAND_HITS entries puts the band edge at 20: 19 is the
