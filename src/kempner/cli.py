@@ -36,7 +36,7 @@ MAX_TRACE_ROWS = 1 << 20
 MAX_THREADS = 4 * (os.cpu_count() or 1)
 
 # The counters and the oracle index x and the gaps as int64; S takes any u64.
-_I64_MAX = int(np.iinfo(np.int64).max)
+_I64_MAX = 2**63 - 1
 _X = click.IntRange(0, _I64_MAX)
 _N = click.IntRange(1, U64_MAX)
 
