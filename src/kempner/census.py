@@ -35,7 +35,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .core import Convention, _as_u64
+from .core import Convention, _as_i64, _as_u64
 from .oracle import oracle_pair_count, oracle_pi
 from .table import iter_segments, s_range
 
@@ -58,15 +58,19 @@ _COMPOSITE_HITS = {0: 4, 2: 4}
 
 @dataclass(frozen=True)
 class PairCountQuery:
-    """One counting run: pairs (p, p + 2*half_gap) with the larger member <= x."""
+    """One counting run: pairs (p, p + 2*half_gap) with the larger member <= x.
+
+    x and the gap are below 2^63, as the counts index them as int64.
+    """
 
     x: int
     half_gap: int = 1
     conv: Convention = Convention.FORMULA_CONSISTENT
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _as_u64(self.x, "x"))
+        object.__setattr__(self, "x", _as_i64(self.x, "x"))
         object.__setattr__(self, "half_gap", _as_u64(self.half_gap, "half_gap", minimum=1))
+        _as_i64(self.gap, "gap")
 
     @property
     def gap(self) -> int:
@@ -219,7 +223,7 @@ def count_primes(
     hit as soon as it is in range.  The convention never affects the result
     since the sum starts at j = 2.
     """
-    x = _as_u64(x, "x")
+    x = _as_i64(x, "x")
     oracle = (lambda: oracle_pi(x)) if verify else None
     return _count(x, 0, False, 2, oracle, threads)
 

@@ -15,7 +15,7 @@ import click
 import numpy as np
 
 from . import census, oracle
-from .core import U64_MAX, Convention, s
+from .core import _I64_MAX, U64_MAX, Convention, s
 from .table import default_cache_dir, iter_segments, s_range
 
 _CONVENTIONS = {
@@ -35,8 +35,6 @@ MAX_TRACE_ROWS = 1 << 20
 # table.SEGMENT_SIZE u64 (4 MiB) and an OS thread while it fills.
 MAX_THREADS = 4 * (os.cpu_count() or 1)
 
-# The counters and the oracle index x and the gaps as int64; S takes any u64.
-_I64_MAX = 2**63 - 1
 _X = click.IntRange(0, _I64_MAX)
 _N = click.IntRange(1, U64_MAX)
 

@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 U64_MAX = 2**64 - 1
+# The counts and the oracle index x and the gaps as int64; S takes any u64.
+_I64_MAX = 2**63 - 1
 
 _TRIAL_BOUND = 10_000  # trial-division cutoff before the rho splitter takes over
 _RHO_SEED = 0x5EED_CAFE  # fixed seed: factorization must be reproducible run to run
@@ -49,6 +51,14 @@ def _as_u64(value, name: str, minimum: int = 0) -> int:
         raise ValueError(f"{name} must be >= {minimum} (got {value})")
     if value > U64_MAX:
         raise ValueError(f"{name} does not fit in 64 bits (got {value})")
+    return value
+
+
+def _as_i64(value, name: str, minimum: int = 0) -> int:
+    """Coerce an integer-like value into [minimum, 2^63 - 1], the x and gaps of the counts."""
+    value = _as_u64(value, name, minimum)
+    if value > _I64_MAX:
+        raise ValueError(f"{name} must be below 2^63 (got {value})")
     return value
 
 

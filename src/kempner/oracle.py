@@ -12,7 +12,7 @@ from math import isqrt
 
 import numpy as np
 
-from .core import _as_u64
+from .core import _as_i64, _as_u64
 
 __all__ = [
     "DEFAULT_MEMORY_CAP",
@@ -161,18 +161,21 @@ def pair_counts_at(
     (p, p + gaps[k]) with p + gaps[k] <= xs[i].
 
     The sieve is unpacked once; each gap costs one scan of the flags for
-    its pairs and one binary search per sampled x.
+    its pairs and one binary search per sampled x.  The xs and gaps are
+    checked, below 2^63, before the sieve is built.
     """
-    xs = np.asarray(xs, dtype=np.int64)
-    max_x = _as_u64(int(xs.max()) if xs.size else 0, "max(xs)")
+    xs = np.asarray(xs)
+    max_x = _as_i64(int(xs.max()) if xs.size else 0, "max(xs)")
+    gaps = [_as_i64(gap, "gap", minimum=2) for gap in gaps]
+    for gap in gaps:
+        if gap % 2:
+            raise ValueError(f"gap must be even (got {gap})")
+    xs = xs.astype(np.int64)
     if sieve is None:
         sieve = sieve_primes(max_x)
     flags = sieve.flags(max_x)
     counts = np.empty((len(gaps), xs.size), dtype=np.int64)
     for k, gap in enumerate(gaps):
-        gap = _as_u64(gap, "gap", minimum=2)
-        if gap % 2:
-            raise ValueError(f"gap must be even (got {gap})")
         larger = np.flatnonzero(flags[:-gap] & flags[gap:]) + gap
         counts[k] = np.searchsorted(larger, xs, side="right")
     return counts

@@ -5,12 +5,20 @@ p <= sqrt(hi) and every power p^k in range it raises the multiples of p^k
 in a segment to at least S(p^k) and multiplies p into a running product of
 the part of j over the base primes.  One division of j by that product
 leaves a cofactor that is 1 or a prime above sqrt(hi), its own candidate.
-Primes up to max(13, span / _BAND_HITS) do so on strided views of the
-segment, one prime at a time.  The larger primes, each of which hits the
-segment only a few times, form the large band: a bulk pass computes the
-offsets of all their powers as one vector and applies every hit with
-``np.maximum.at`` and ``np.multiply.at``, a block of primes at a time (the
-bucket idea of Oliveira e Silva, Herzog and Pardi, Math. Comp. 83, 2014).
+The powers 2^1..2^4, 3^1..3^2, 5, 7, 11 and 13 are done once per process:
+a pre-sieve tile holds their S and product for j mod 720,720, and every
+segment starts as a copy of it (the PreSieve of primesieve, K. Walisch).
+The higher powers of p <= 13 and the primes up to span / _BAND_HITS then
+walk strided views of the segment, one prime at a time.  The larger
+primes, each of which hits the segment only a few times, form the large
+band: a bulk pass computes the offsets of all their powers as one vector
+and applies every hit with ``np.maximum.at`` and ``np.multiply.at``, a
+block of primes at a time (the bucket idea of Oliveira e Silva, Herzog and
+Pardi, Math. Comp. 83, 2014).  A segment that ends below 2^32 holds S, the
+product and the cofactor as uint32, any other as uint64; the values it
+yields are uint64 either way.  The last step is an unmasked max of S and
+the cofactor, which leaves 1 at j = 1; ``iter_segments`` writes the
+convention's S(1) over it.
 
 ``iter_segments`` is the one source of S values: it yields the segments of
 a range in order, sieving the base primes once and filling whole segments of
@@ -40,7 +48,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import islice
 from math import isqrt
 
@@ -63,6 +71,9 @@ SEGMENT_SIZE = 1 << 19
 # _BAND_BLOCK of them per step so that its temporaries stay bounded.
 _BAND_HITS = 128
 _BAND_BLOCK = 1 << 14
+# The prime powers of the pre-sieve tile, which covers j mod _TILE.
+_TILE_POWERS = {2: 4, 3: 2, 5: 1, 7: 1, 11: 1, 13: 1}
+_TILE = 2**4 * 3**2 * 5 * 7 * 11 * 13  # 720,720
 
 _MAGIC = b"SKT2"
 _VERSION = 2
@@ -176,47 +187,91 @@ class STable:
         return cls.from_bytes(blob)
 
 
+@cache
+def _tile() -> tuple[np.ndarray, np.ndarray]:
+    """The pre-sieve tile: S and ``prod`` over the powers of _TILE_POWERS for j mod _TILE.
+
+    Entry i holds the largest S(p^k) over the powers p^k of _TILE_POWERS that
+    divide i (uint8, at most 13) and their product gcd(i, _TILE) (uint32).
+    Built once per process (3.6 MB, a few ms) and read-only, so every thread
+    shares it.
+    """
+    smax = np.zeros(_TILE, dtype=np.uint8)
+    part = np.ones(_TILE, dtype=np.uint32)
+    for p, e in _TILE_POWERS.items():
+        for k in range(1, e + 1):
+            hits = smax[:: p**k]
+            np.maximum(hits, s_prime_power(p, k), out=hits)
+            part[:: p**k] *= p
+    smax.flags.writeable = part.flags.writeable = False
+    return smax, part
+
+
 def _fill_segment(dest: np.ndarray, a: int, b: int, base: np.ndarray) -> None:
     """Compute S(j) for j in [a, b] into dest (dest aliases the output array).
 
     Every multiple of p^k in the segment takes the max with S(p^k), which
     grows with k, so the highest power of p that divides j wins.  ``prod``
-    collects those powers, the part of j over the base primes; one division
-    leaves the cofactor, which is 1 or a single prime above sqrt(b).  Primes
-    up to max(13, n / _BAND_HITS) walk strided views of the segment; the
-    larger ones, which hit it rarely, go to the bulk pass in blocks.
+    collects those powers, the part of j over the base primes and the
+    primes of the tile; one division leaves the cofactor, which is 1 or a
+    single prime above sqrt(b).
+
+    The segment starts as a copy of the pre-sieve tile from offset a mod
+    _TILE, in pieces when it is longer than the tile, so the powers of
+    _TILE_POWERS cost nothing per segment; the strided loop starts each
+    p <= 13 at the first power past them (2^5, 3^3, 5^2, ...).  Primes up to
+    max(13, n / _BAND_HITS) walk strided views of the segment; the larger
+    ones, which hit it rarely, go to the bulk pass in blocks.  S, ``prod``
+    and the cofactor are uint32 when b < 2^32 (every value and product is
+    at most j) and uint64 otherwise; only dest is always uint64.
+
+    The last step is the max of S and the cofactor, unmasked.  For j >= 2 a
+    cofactor of 1 means j has a base prime or a prime of the tile, so S is
+    already at least 2 and the 1 changes nothing.  For j = 1 it leaves 1,
+    and :func:`iter_segments` overwrites that entry with the convention's
+    S(1).
     """
     n = b - a + 1
-    dest[:] = 0
-    prod = np.ones(n, dtype=np.uint64)
+    dtype = np.uint32 if b < 1 << 32 else np.uint64
+    s = dest if dest.dtype == dtype else np.empty(n, dtype=dtype)
+    prod = np.empty(n, dtype=dtype)
+    smax, part = _tile()
+    i, off = 0, a % _TILE
+    while i < n:
+        m = min(n - i, _TILE - off)
+        s[i : i + m] = smax[off : off + m]
+        prod[i : i + m] = part[off : off + m]
+        i, off = i + m, 0
     top = int(np.searchsorted(base, isqrt(b), side="right"))
     edge = min(top, int(np.searchsorted(base, max(13, n // _BAND_HITS), side="right")))
     for p in base[:edge].tolist():
-        q, k = p, 1
+        k = _TILE_POWERS.get(p, 0) + 1
+        q = p**k
         while q <= b:
             off = (-a) % q
             if off >= n:
                 break
             # S(p^k) = k*p while k <= p, which every p >= 17 meets below 2^64.
-            hits = dest[off::q]
+            hits = s[off::q]
             np.maximum(hits, k * p if k <= p else s_prime_power(p, k), out=hits)
             prod[off::q] *= p
             q, k = q * p, k + 1
     for start in range(edge, top, _BAND_BLOCK):
-        _fill_band(dest, prod, a, b, base[start : min(start + _BAND_BLOCK, top)])
-    residual = np.arange(a, b + 1, dtype=np.uint64)
+        _fill_band(s, prod, a, b, base[start : min(start + _BAND_BLOCK, top)])
+    residual = np.arange(a, b + 1, dtype=dtype)
     residual //= prod
-    np.maximum(dest, residual, where=residual > 1, out=dest)
+    np.maximum(s, residual, out=dest)
 
 
-def _fill_band(dest: np.ndarray, prod: np.ndarray, a: int, b: int, primes: np.ndarray) -> None:
+def _fill_band(s: np.ndarray, prod: np.ndarray, a: int, b: int, primes: np.ndarray) -> None:
     """The strided loop's work for a block of primes p >= 17, a few numpy calls per power k.
 
     The offsets of the first multiple of p^k in the span are one vector; the
     hits of every prime are expanded from them at once and applied with
     ``ufunc.at``, which handles the primes that share a j.  A prime with no
     multiple of p^k in the span has none of p^(k+1), so each power keeps
-    only the primes that hit.
+    only the primes that hit.  The hit values take the dtype of ``s`` and
+    ``prod``.
     """
     n = b - a + 1
     p = primes.astype(np.uint64)
@@ -230,8 +285,8 @@ def _fill_band(dest: np.ndarray, prod: np.ndarray, a: int, b: int, primes: np.nd
         first = np.cumsum(counts) - counts
         rank = np.arange(counts.sum()) - np.repeat(first, counts)
         idx = np.repeat(off, counts) + rank * np.repeat(step, counts)
-        hit_primes = np.repeat(p, counts)
-        np.maximum.at(dest, idx, hit_primes * np.uint64(k))  # S(p^k) = k*p, as k <= p
+        hit_primes = np.repeat(p, counts).astype(prod.dtype)
+        np.maximum.at(s, idx, hit_primes * k)  # S(p^k) = k*p, as k <= p
         np.multiply.at(prod, idx, hit_primes)
         more = q <= np.uint64(b) // p
         p, q, k = p[more], q[more] * p[more], k + 1

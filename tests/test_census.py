@@ -330,6 +330,22 @@ def test_query_validation_and_gap():
         PairCountQuery(-1, 1)
 
 
+def test_counts_reject_x_and_gaps_from_2_63_before_any_work():
+    # x and the gap index int64 arrays; the bound is named before any stream starts.
+    assert PairCountQuery(2**63 - 1, 2**62 - 1).gap == 2**63 - 2
+    with patch("kempner.census.iter_segments", side_effect=AssertionError("streamed")):
+        for count in (
+            lambda: count_twin(2**63),
+            lambda: count_twin(2**63, verify=True),
+            lambda: count_primes(2**63, verify=True),
+            lambda: count_pairs(PairCountQuery(2**63, 1)),
+        ):
+            with pytest.raises(ValueError, match="x must be below 2\\^63"):
+                count()
+        with pytest.raises(ValueError, match="gap must be below 2\\^63"):
+            PairCountQuery(100, 2**62)
+
+
 # --- invariance over segment size and thread count ------------------------------
 
 

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from kempner import oracle
 from kempner.core import is_prime
 from kempner.oracle import (
     check_limit,
@@ -128,3 +129,20 @@ def test_pair_counts_at_rejects_odd_or_small_gaps(sieve_100k):
     for gap in (0, 1, 3):
         with pytest.raises(ValueError):
             pair_counts_at(np.array([100]), [gap], sieve_100k)
+
+
+def test_pair_counts_at_rejects_2_63_before_sieving(monkeypatch):
+    # The xs and gaps are indexed as int64; the check runs before any sieve.
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("sieved before the arguments were checked")
+
+    monkeypatch.setattr(oracle, "sieve_primes", no_sieve)
+    for xs, gaps, name in (([2**63], [2], "max\\(xs\\)"), ([100], [2**63], "gap")):
+        with pytest.raises(ValueError, match=f"{name} must be below 2\\^63"):
+            pair_counts_at(xs, gaps)
+    with pytest.raises(ValueError, match="even"):
+        pair_counts_at([100], [2, 7])
+    with pytest.raises(ValueError, match="64 bits"):
+        pair_counts_at([2**64], [2])
+    with pytest.raises(ValueError, match="below 2\\^63"):
+        oracle_pair_count(2**63, 1)

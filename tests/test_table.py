@@ -23,13 +23,24 @@ PAPER = Convention.PAPER_LITERAL
 FORMULA = Convention.FORMULA_CONSISTENT
 
 
-def test_first_ten_paper():
-    tab = s_range(1, 10, PAPER)
+# The kernel leaves S = 1 at j = 1 and iter_segments writes the convention's
+# S(1) over it, in whichever segment and thread j = 1 lands.
+_FIRST_TEN_SETTINGS = pytest.mark.parametrize(
+    "segment_size, threads", [(size, t) for size in (1, table.SEGMENT_SIZE) for t in (1, 2)]
+)
+
+
+@_FIRST_TEN_SETTINGS
+def test_first_ten_paper(segment_size, threads):
+    with patch.object(table, "SEGMENT_SIZE", segment_size):
+        tab = s_range(1, 10, PAPER, threads=threads)
     assert tab.values.tolist() == [1, 2, 3, 4, 5, 3, 7, 4, 6, 5]
 
 
-def test_first_ten_formula():
-    tab = s_range(1, 10, FORMULA)
+@_FIRST_TEN_SETTINGS
+def test_first_ten_formula(segment_size, threads):
+    with patch.object(table, "SEGMENT_SIZE", segment_size):
+        tab = s_range(1, 10, FORMULA, threads=threads)
     assert tab.values.tolist() == [0, 2, 3, 4, 5, 3, 7, 4, 6, 5]
 
 
@@ -110,7 +121,9 @@ def test_many_tiny_segments_keep_memory_bounded():
 
 # Windows around c * p^k for p <= 13, among them every k > p (where
 # S(p^k) < k * p) below 10^13, which keeps the base primes cheap; 13 first
-# reaches k > p at 13^14 (see below).
+# reaches k > p at 13^14 (see below).  Windows around c * _TILE cross the
+# seam of the pre-sieve tile, and those within 16 of 2^32 the switch of the
+# kernel's working dtype from uint32 to uint64.
 _HIGH_POWERS = [p**k for p in (2, 3, 5, 7, 11, 13) for k in range(2, 64) if p**k < 10**13]
 
 
@@ -121,6 +134,8 @@ def _windows(draw):
         st.one_of(
             st.integers(1, 3000),
             st.builds(lambda c, q: c * q, st.integers(1, 9), st.sampled_from(_HIGH_POWERS)),
+            st.builds(lambda c: c * table._TILE, st.integers(1, 30)),
+            st.integers(2**32 - 16, 2**32 + 16),
             st.integers(1, 10**12),
         )
     )
@@ -148,6 +163,40 @@ def test_thirteen_past_the_exponent_bound():
     for segment_size in (1, table.SEGMENT_SIZE):
         with patch.object(table, "SEGMENT_SIZE", segment_size):
             assert s_range(lo, lo + 6).values.tolist() == expected
+
+
+def test_window_across_two_to_the_32():
+    # Segments that end below 2^32 run in uint32, the rest in uint64.
+    lo, hi = 2**32 - 300, 2**32 + 300
+    whole = s_range(lo, hi).to_bytes()
+    for segment_size in (1, 7):
+        with patch.object(table, "SEGMENT_SIZE", segment_size):
+            assert s_range(lo, hi).to_bytes() == whole, segment_size
+    assert STable.from_bytes(whole).values.tolist() == [s(j) for j in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("segment_size", [1 << 19, pytest.param(7, marks=pytest.mark.slow)])
+def test_tile_copy_wraps_inside_one_segment(segment_size):
+    # Segments of 2^20 entries are longer than the 720,720-entry tile: the
+    # one from 700,000 copies it in three pieces, across 720,720 and 1,441,440.
+    with patch.object(table, "SEGMENT_SIZE", 1 << 20):
+        wrapped = s_range(700_000, 2_200_000).to_bytes()
+    with patch.object(table, "SEGMENT_SIZE", segment_size):
+        assert s_range(700_000, 2_200_000).to_bytes() == wrapped
+
+
+def test_tile_holds_s_and_gcd_over_its_powers():
+    # Entry i is S(g) and g for g = gcd(i, _TILE), with S(1) = 0.
+    smax, part = table._tile()
+    tile = table._TILE
+    assert tile == np.prod([p**e for p, e in table._TILE_POWERS.items()])
+    g = np.gcd(np.arange(tile), tile)
+    s_of = np.zeros(tile + 1, dtype=np.int64)
+    for d in np.unique(g).tolist():
+        s_of[d] = s(d, FORMULA)
+    assert (smax.dtype, part.dtype) == (np.uint8, np.uint32)
+    assert (part == g).all()
+    assert (smax == s_of[g]).all()
 
 
 def _plain_sieve(limit):
