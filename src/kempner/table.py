@@ -193,12 +193,15 @@ def _tile() -> tuple[np.ndarray, np.ndarray]:
 
     Entry i holds the largest S(p^k) over the powers p^k of _TILE_POWERS that
     divide i (uint8, at most 13) and their product gcd(i, _TILE) (uint32).
-    Built once per process (3.6 MB, a few ms) and read-only, so every thread
-    shares it.
+    Built once per process (3.6 MB, about 4 ms) and read-only, so every
+    thread shares it.  It grows one prime at a time: the tile of the primes
+    so far, repeated p^e times, is the tile of those primes mod the new
+    length, so only the strides of p are left to apply.
     """
-    smax = np.zeros(_TILE, dtype=np.uint8)
-    part = np.ones(_TILE, dtype=np.uint32)
+    smax = np.zeros(1, dtype=np.uint8)
+    part = np.ones(1, dtype=np.uint32)
     for p, e in _TILE_POWERS.items():
+        smax, part = np.tile(smax, p**e), np.tile(part, p**e)
         for k in range(1, e + 1):
             hits = smax[:: p**k]
             np.maximum(hits, s_prime_power(p, k), out=hits)
@@ -285,7 +288,7 @@ def _fill_band(s: np.ndarray, prod: np.ndarray, a: int, b: int, primes: np.ndarr
         first = np.cumsum(counts) - counts
         rank = np.arange(counts.sum()) - np.repeat(first, counts)
         idx = np.repeat(off, counts) + rank * np.repeat(step, counts)
-        hit_primes = np.repeat(p, counts).astype(prod.dtype)
+        hit_primes = np.repeat(p, counts).astype(prod.dtype, copy=False)
         np.maximum.at(s, idx, hit_primes * k)  # S(p^k) = k*p, as k <= p
         np.multiply.at(prod, idx, hit_primes)
         more = q <= np.uint64(b) // p
