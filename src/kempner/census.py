@@ -147,7 +147,7 @@ def _stream(x: int, tallies: list[_Tally], threads: int) -> None:
     if x < 1:
         return
     for a, values in iter_segments(1, x, threads=threads):
-        flags = values == np.arange(a, a + values.size, dtype=np.uint64)
+        flags = values == np.arange(a, a + values.size, dtype=values.dtype)
         for tally in tallies:
             tally.feed(a, flags)
 

@@ -31,9 +31,15 @@ _EXIT_IO = 3
 MAX_VERIFY_POINTS = 1 << 20
 # Largest `--trace` window: its rows are held in memory, about 150 bytes each.
 MAX_TRACE_ROWS = 1 << 20
-# Most threads `--threads` accepts: each holds a segment buffer of
-# table.SEGMENT_SIZE u64 (4 MiB) and an OS thread while it fills.
+# Most threads `--threads` accepts: each holds a ring buffer of
+# table.SEGMENT_SIZE u64 (4 MiB, of which a segment that ends below 2^32
+# fills the first half as uint32), the working arrays of the fill it runs
+# and an OS thread.
 MAX_THREADS = 4 * (os.cpu_count() or 1)
+# Most entries `table --format cache` accepts.  The table and the blob that
+# `STable.to_bytes` copies it into take about 16 bytes per entry, so this
+# keeps the write within the 2^32-byte cap of the oracle sieve (2^28 entries).
+MAX_CACHE_ENTRIES = oracle.DEFAULT_MEMORY_CAP // 16
 
 _X = click.IntRange(0, _I64_MAX)
 _N = click.IntRange(1, U64_MAX)
@@ -183,6 +189,11 @@ def table(lo: int, hi: int, out_path: str | None, fmt: str, convention: str, thr
     """Tabulate S(n) for n in [LO, HI] as CSV or a binary cache file."""
     if hi < lo:
         raise click.BadParameter(f"need LO <= HI, got [{lo}, {hi}]", param_hint="lo/hi")
+    if fmt == "cache" and hi - lo + 1 > MAX_CACHE_ENTRIES:
+        raise click.BadParameter(
+            f"a cache holds at most {MAX_CACHE_ENTRIES} entries; got {hi - lo + 1}",
+            param_hint="lo/hi",
+        )
     conv = _CONVENTIONS[convention]
     if fmt == "csv":
         # Opened before any work; each segment is written as soon as it is filled.

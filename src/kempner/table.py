@@ -1,10 +1,15 @@
 """Dense S tables: a segmented range kernel and a checksummed cache format.
 
 The range kernel divides nothing per prime.  For every base prime
-p <= sqrt(hi) and every power p^k in range it raises the multiples of p^k
-in a segment to at least S(p^k) and multiplies p into a running product of
-the part of j over the base primes.  One division of j by that product
-leaves a cofactor that is 1 or a prime above sqrt(hi), its own candidate.
+p <= sqrt(b), b the end of a segment, and every power p^k in range it
+raises the multiples of p^k in the segment to at least S(p^k).  The primes
+up to cbrt(b) also multiply p into a running product of the part of j over
+them.  The larger ones, the split primes, keep no product: a j <= b has at
+most two prime factors above cbrt(b), so an array that holds S of the part
+of j over them (1, q, 2q or max(q, q')) stands in for that part.  One
+division of j by the product times that array leaves the one prime of j
+above sqrt(b), or 1, or a value below the array's entry (``_fill_segment``
+gives the cases).
 The powers 2^1..2^4, 3^1..3^2, 5, 7, 11 and 13 are done once per process:
 a pre-sieve tile holds their S and product for j mod 720,720, and every
 segment starts as a copy of it (the PreSieve of primesieve, K. Walisch).
@@ -15,10 +20,10 @@ band: a bulk pass computes the offsets of all their powers as one vector
 and applies every hit with ``np.maximum.at`` and ``np.multiply.at``, a
 block of primes at a time (the bucket idea of Oliveira e Silva, Herzog and
 Pardi, Math. Comp. 83, 2014).  A segment that ends below 2^32 holds S, the
-product and the cofactor as uint32, any other as uint64; the values it
-yields are uint64 either way.  The last step is an unmasked max of S and
-the cofactor, which leaves 1 at j = 1; ``iter_segments`` writes the
-convention's S(1) over it.
+product and the cofactor as uint32, any other as uint64; ``iter_segments``
+yields the values in that dtype, and a table holds them as uint64.  The
+last step is an unmasked max of S and the cofactor, which leaves 1 at
+j = 1; ``iter_segments`` writes the convention's S(1) over it.
 
 ``iter_segments`` is the one source of S values: it yields the segments of
 a range in order, sieving the base primes once and filling whole segments of
@@ -187,6 +192,16 @@ class STable:
         return cls.from_bytes(blob)
 
 
+def _icbrt(n: int) -> int:
+    """The integer cube root of n >= 0: the largest k with k**3 <= n."""
+    k = round(n ** (1 / 3))  # a float root, within a few units of k below 2^64
+    while k**3 > n:
+        k -= 1
+    while (k + 1) ** 3 <= n:
+        k += 1
+    return k
+
+
 @cache
 def _tile() -> tuple[np.ndarray, np.ndarray]:
     """The pre-sieve tile: S and ``prod`` over the powers of _TILE_POWERS for j mod _TILE.
@@ -215,18 +230,34 @@ def _fill_segment(dest: np.ndarray, a: int, b: int, base: np.ndarray) -> None:
 
     Every multiple of p^k in the segment takes the max with S(p^k), which
     grows with k, so the highest power of p that divides j wins.  ``prod``
-    collects those powers, the part of j over the base primes and the
-    primes of the tile; one division leaves the cofactor, which is 1 or a
-    single prime above sqrt(b).
+    collects those powers, the part of j over the base primes up to the
+    cube root of b and the primes of the tile; one division leaves the
+    cofactor.
+
+    The base primes p with max(13, cbrt(b)) < p <= sqrt(b), the split
+    primes, keep no product.  A j <= b has at most two prime factors above
+    cbrt(b), counted with multiplicity, so its part over the split primes
+    is 1, q, q^2 or q*q' (q < q'), and a separate array ``split`` holds
+    S of that part: 1, q, 2q or q'.  A prime P above sqrt(b) fits beside
+    at most one split prime (q*q'*P and q^2*P exceed b).  The divisor
+    d = prod * split is at most j, and j // d is P or 1 when the split
+    part is 1 or q, and q // 2 or q when it is q^2 or q*q', below ``split``
+    in both cases.  So S(j) is the max of S, ``split`` and j // d, with one
+    strided call per power of a split prime instead of two.  ``split`` is
+    made only when the strided loop reaches past cbrt(b); then the bulk
+    pass feeds it too, without a product, and otherwise the split primes
+    all take the bulk pass with a product, so a segment with no strided
+    split prime (near 10^12) makes no extra pass.
 
     The segment starts as a copy of the pre-sieve tile from offset a mod
     _TILE, in pieces when it is longer than the tile, so the powers of
     _TILE_POWERS cost nothing per segment; the strided loop starts each
     p <= 13 at the first power past them (2^5, 3^3, 5^2, ...).  Primes up to
     max(13, n / _BAND_HITS) walk strided views of the segment; the larger
-    ones, which hit it rarely, go to the bulk pass in blocks.  S, ``prod``
-    and the cofactor are uint32 when b < 2^32 (every value and product is
-    at most j) and uint64 otherwise; only dest is always uint64.
+    ones, which hit it rarely, go to the bulk pass in blocks.  S, ``prod``,
+    ``split`` and the cofactor are uint32 when b < 2^32 (every value and
+    product is at most j) and uint64 otherwise, and so is dest when
+    :func:`iter_segments` streams; a table's dest is always uint64.
 
     The last step is the max of S and the cofactor, unmasked.  For j >= 2 a
     cofactor of 1 means j has a base prime or a prime of the tile, so S is
@@ -247,7 +278,8 @@ def _fill_segment(dest: np.ndarray, a: int, b: int, base: np.ndarray) -> None:
         i, off = i + m, 0
     top = int(np.searchsorted(base, isqrt(b), side="right"))
     edge = min(top, int(np.searchsorted(base, max(13, n // _BAND_HITS), side="right")))
-    for p in base[:edge].tolist():
+    cut = min(edge, int(np.searchsorted(base, max(13, _icbrt(b)), side="right")))
+    for p in base[:cut].tolist():
         k = _TILE_POWERS.get(p, 0) + 1
         q = p**k
         while q <= b:
@@ -259,22 +291,39 @@ def _fill_segment(dest: np.ndarray, a: int, b: int, base: np.ndarray) -> None:
             np.maximum(hits, k * p if k <= p else s_prime_power(p, k), out=hits)
             prod[off::q] *= p
             q, k = q * p, k + 1
+    split = None
+    if cut < edge:
+        # Primes ascend, so each entry ends with the largest split prime that
+        # divides it, or 2p where p^2 does.
+        split = np.ones(n, dtype=dtype)
+        for p in base[cut:edge].tolist():
+            off = (-a) % p
+            if off < n:
+                split[off::p] = p
+                off = (-a) % (p * p)
+                if off < n:
+                    split[off :: p * p] = 2 * p
+    band = (s, prod) if split is None else (split, None)
     for start in range(edge, top, _BAND_BLOCK):
-        _fill_band(s, prod, a, b, base[start : min(start + _BAND_BLOCK, top)])
+        _fill_band(*band, a, b, base[start : min(start + _BAND_BLOCK, top)])
+    if split is not None:
+        prod *= split  # the divisor prod * split is at most j
+        np.maximum(s, split, out=s)
+        del split  # freed before the residual takes its place
     residual = np.arange(a, b + 1, dtype=dtype)
     residual //= prod
     np.maximum(s, residual, out=dest)
 
 
-def _fill_band(s: np.ndarray, prod: np.ndarray, a: int, b: int, primes: np.ndarray) -> None:
+def _fill_band(s: np.ndarray, prod: np.ndarray | None, a: int, b: int, primes: np.ndarray) -> None:
     """The strided loop's work for a block of primes p >= 17, a few numpy calls per power k.
 
     The offsets of the first multiple of p^k in the span are one vector; the
     hits of every prime are expanded from them at once and applied with
     ``ufunc.at``, which handles the primes that share a j.  A prime with no
     multiple of p^k in the span has none of p^(k+1), so each power keeps
-    only the primes that hit.  The hit values take the dtype of ``s`` and
-    ``prod``.
+    only the primes that hit.  The hit values take the dtype of ``s``.  With
+    ``prod`` None (split primes) only ``s`` is raised.
     """
     n = b - a + 1
     p = primes.astype(np.uint64)
@@ -288,9 +337,10 @@ def _fill_band(s: np.ndarray, prod: np.ndarray, a: int, b: int, primes: np.ndarr
         first = np.cumsum(counts) - counts
         rank = np.arange(counts.sum()) - np.repeat(first, counts)
         idx = np.repeat(off, counts) + rank * np.repeat(step, counts)
-        hit_primes = np.repeat(p, counts).astype(prod.dtype, copy=False)
+        hit_primes = np.repeat(p, counts).astype(s.dtype, copy=False)
         np.maximum.at(s, idx, hit_primes * k)  # S(p^k) = k*p, as k <= p
-        np.multiply.at(prod, idx, hit_primes)
+        if prod is not None:
+            np.multiply.at(prod, idx, hit_primes)
         more = q <= np.uint64(b) // p
         p, q, k = p[more], q[more] * p[more], k + 1
 
@@ -304,6 +354,10 @@ def iter_segments(
     out: np.ndarray | None = None,
 ):
     """Yield (a, values) with values[i] = S(a + i), segment by segment over [lo, hi] in order.
+
+    ``values`` is uint32 for a segment that ends below 2^32 (a view of the
+    first half of its uint64 buffer) and uint64 for any other, or a slice of
+    ``out``, which is uint64.
 
     The base primes are sieved once per call; the values do not depend on
     the thread count or the segment size.  ``threads``, cut to the number of
@@ -330,6 +384,8 @@ def iter_segments(
         b = min(a + segment_size - 1, hi)
         if out is None:
             values = ring[(a - lo) // segment_size % threads, : b - a + 1]
+            if b < 1 << 32:
+                values = values.view(np.uint32)[: b - a + 1]
         else:
             values = out[a - lo : b - lo + 1]
         _fill_segment(values, a, b, base)

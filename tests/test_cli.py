@@ -224,6 +224,33 @@ def test_table_csv_streams_in_less_memory_than_the_values(runner, tmp_path):
     assert lines[-1] == f"200000,{s(200_000)},false"
 
 
+def test_table_cache_rejects_ranges_over_the_entry_bound(runner, monkeypatch, tmp_path):
+    assert cli.MAX_CACHE_ENTRIES == oracle.DEFAULT_MEMORY_CAP // 16
+    path = tmp_path / "cache.skt"
+    monkeypatch.setattr(cli, "MAX_CACHE_ENTRIES", 10)
+    with monkeypatch.context() as failing:
+        failing.setattr(cli, "s_range", lambda *args, **kwargs: pytest.fail("S values computed"))
+        result = runner.invoke(main, ["table", "5", "15", "--format", "cache", "--out", str(path)])
+    assert_usage_error(result)
+    assert "at most 10 entries; got 11" in result.output
+    assert not path.exists()
+    assert invoke(runner, "table", "6", "15", "--format", "cache", "--out", str(path)).exit_code == 0
+    assert STable.load(path).values.tolist() == [s(j) for j in range(6, 16)]
+    assert len(invoke(runner, "table", "5", "15").output.splitlines()) == 12  # CSV streams
+
+
+@pytest.mark.parametrize("segment_size", [3, table.SEGMENT_SIZE])
+def test_table_csv_across_two_to_the_32_same_over_threads(runner, segment_size):
+    lo, hi = 2**32 - 5, 2**32 + 5
+    with patch.object(table, "SEGMENT_SIZE", segment_size):
+        one = invoke(runner, "table", str(lo), str(hi), "--threads", "1").stdout_bytes
+        two = invoke(runner, "table", str(lo), str(hi), "--threads", "2").stdout_bytes
+    assert one == two
+    rows = one.decode().splitlines()
+    assert rows[1] == f"{lo},{lo},true"  # 2^32 - 5 is prime
+    assert rows[2:] == [f"{j},{s(j)},false" for j in range(lo + 1, hi + 1)]
+
+
 def test_table_csv_unwritable_out_exits_before_any_work(runner, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --out was opened")

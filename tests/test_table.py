@@ -8,10 +8,12 @@ import struct
 import sys
 import time
 import tracemalloc
+from math import isqrt
 from unittest.mock import patch
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -243,6 +245,111 @@ def test_large_window_identical_over_threads_and_segments():
                 tab = s_range(lo, lo + 200, threads=threads)
             assert tab.to_bytes() == whole, (segment_size, threads)
     assert tab.values.tolist() == [s(j) for j in range(lo, lo + 201)]
+
+
+def test_integer_cube_root_is_exact_over_u64():
+    icbrt = table._icbrt
+    assert [icbrt(n) for n in range(9)] == [0, 1, 1, 1, 1, 1, 1, 1, 2]
+    # 2,642,245 is the cube root of 2^64 - 1, rounded down.
+    for k in range(1, 2_642_246):
+        cube = k * k * k
+        assert (icbrt(cube - 1), icbrt(cube), icbrt(cube + 1)) == (k - 1, k, k), k
+    assert icbrt(2**64 - 1) == 2_642_245
+
+
+# The split primes of a segment that ends at b are the base primes in
+# (max(13, cbrt(b)), sqrt(b)]; they keep no product.  Centres near x of the
+# forms m*q*q', m*q^2 and q*P put q among the first primes above cbrt(x) or
+# the last ones up to sqrt(x).  A window of 128*(q + 1) entries that ends
+# just past the centre and past q^2 walks q on the strided path; a narrow
+# one, or one of segments of 1 or 7 entries, sends it through the bulk pass.
+def _split_centre(x, above_cbrt, i, form):
+    if above_cbrt:
+        q = sympy.nextprime(max(13, table._icbrt(x)), i + 1)
+        inner = sympy.nextprime(q)
+    else:
+        q = sympy.prevprime(isqrt(x) + 1)
+        for _ in range(i):
+            q = sympy.prevprime(q)
+        inner = sympy.prevprime(q)
+    if form == "q*P":
+        return q, q * sympy.prevprime(x // q + 1)
+    core_part = q * inner if form == "q*q'" else q * q
+    return q, max(1, x // core_part) * core_part
+
+
+_SPLIT_FORMS = ["q*q'", "q^2", "q*P"]
+
+
+@st.composite
+def _split_windows(draw):
+    x = draw(st.integers(4, 11).flatmap(lambda e: st.integers(10**e, 10 ** (e + 1))))
+    q, centre = _split_centre(
+        x, draw(st.booleans()), draw(st.integers(0, 2)), draw(st.sampled_from(_SPLIT_FORMS))
+    )
+    lo = max(1, centre - draw(st.integers(0, 16)))
+    hi = centre + draw(st.integers(0, 16))
+    segment_size = draw(st.sampled_from([1, 7, 1 << 19]))
+    if segment_size == 1 << 19 and q < 4000 and q * q - hi < 10**4 and draw(st.booleans()):
+        top = max(hi, q * q)
+        return max(1, top - 128 * (q + 1) + 1), top, (lo, hi), segment_size
+    return lo, hi, (lo, hi), segment_size
+
+
+@settings(max_examples=80, deadline=None)
+@given(_split_windows())
+def test_split_windows_match_scalar_kernel(window):
+    lo, hi, (check_lo, check_hi), segment_size = window
+    with patch.object(table, "SEGMENT_SIZE", segment_size):
+        tab = s_range(lo, hi)
+    checked = range(check_lo, check_hi + 1)
+    assert [tab.at(j) for j in checked] == [s(j) for j in checked]
+
+
+@pytest.mark.parametrize("x", [10**5, 10**6, 10**7])
+@pytest.mark.parametrize("above_cbrt", [True, False])
+@pytest.mark.parametrize("form", _SPLIT_FORMS)
+def test_split_primes_on_the_strided_path(x, above_cbrt, form):
+    for i in range(2):
+        q, centre = _split_centre(x, above_cbrt, i, form)
+        hi = max(centre, q * q) + 16  # one segment that holds the centre, with q <= sqrt(hi)
+        lo = hi - 128 * (q + 1) + 1
+        assert max(13, table._icbrt(hi)) < q <= min(isqrt(hi), (hi - lo + 1) // table._BAND_HITS)
+        window = range(centre - 16, centre + 17)
+        tab = s_range(lo, hi)
+        assert [tab.at(j) for j in window] == [s(j) for j in window], q
+
+
+@pytest.mark.parametrize("k", [211, 997, 1000])
+def test_split_moves_where_the_segment_end_crosses_a_cube(k):
+    # 211 and 997 are prime: a split prime while b < k^3, a prime with a
+    # product from b = k^3 on.  1000 is not, so nothing moves at 10^9.
+    cube = k**3
+    expected = {j: s(j) for j in range(cube - 41, cube + 42)}
+    for hi in (cube - 1, cube, cube + 1):
+        # One segment of 2^17 entries: the strided loop runs to 1024 > k.
+        tab = s_range(hi - (1 << 17) + 1, hi)
+        assert tab.values[-40:].tolist() == [expected[j] for j in range(hi - 39, hi + 1)], hi
+    for segment_size in (1, 7, 1 << 19):
+        with patch.object(table, "SEGMENT_SIZE", segment_size):
+            tab = s_range(cube - 41, cube + 41)
+        assert tab.values.tolist() == list(expected.values()), segment_size
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_stream_is_uint32_below_two_to_the_32(threads):
+    lo, hi = 2**32 - 250, 2**32 + 150
+    with patch.object(table, "SEGMENT_SIZE", 100):
+        tab = s_range(lo, hi, threads=threads)
+        dtypes = []
+        for a, values in table.iter_segments(lo, hi, threads=threads):
+            b = a + values.size - 1
+            assert values.dtype == (np.uint32 if b < 2**32 else np.uint64), (a, b)
+            assert values.tolist() == tab.values[a - lo : b - lo + 1].tolist()
+            dtypes.append(values.dtype)
+    assert set(dtypes) == {np.dtype(np.uint32), np.dtype(np.uint64)}
+    assert tab.values.dtype == np.uint64
+    assert s_range(1, 100).values.dtype == np.uint64
 
 
 def test_entry_bounds_invariant():
