@@ -294,8 +294,11 @@ def _fill_segment(dest: np.ndarray, a: int, b: int, base: np.ndarray) -> None:
     split = None
     if cut < edge:
         # Primes ascend, so each entry ends with the largest split prime that
-        # divides it, or 2p where p^2 does.
-        split = np.ones(n, dtype=dtype)
+        # divides it, or 2p where p^2 does.  When S has its own array (a
+        # uint64 dest, S uint32), the first half of dest holds ``split``
+        # until the last step.
+        split = np.empty(n, dtype=dtype) if s is dest else dest.view(dtype)[:n]
+        split.fill(1)
         for p in base[cut:edge].tolist():
             off = (-a) % p
             if off < n:
