@@ -1,29 +1,29 @@
 """Dense S tables: a segmented range kernel and a checksummed cache format.
 
-The range kernel divides nothing per prime.  For every base prime
-p <= sqrt(b), b the end of a segment, and every power p^k in range it
-raises the multiples of p^k in the segment to at least S(p^k).  The primes
-up to cbrt(b) also multiply p into a running product of the part of j over
-them.  The larger ones, the split primes, keep no product: a j <= b has at
-most two prime factors above cbrt(b), so an array that holds S of the part
-of j over them (1, q, 2q or max(q, q')) stands in for that part.  One
-division of j by the product times that array leaves the one prime of j
-above sqrt(b), or 1, or a value below the array's entry (``_fill_segment``
-gives the cases).
-The powers 2^1..2^4, 3^1..3^2, 5, 7, 11 and 13 are done once per process:
-a pre-sieve tile holds their S and product for j mod 720,720, and every
-segment starts as a copy of it (the PreSieve of primesieve, K. Walisch).
-The higher powers of p <= 13 and the primes up to span / _BAND_HITS then
-walk strided views of the segment, one prime at a time.  The larger
-primes, each of which hits the segment only a few times, form the large
-band: a bulk pass computes the offsets of all their powers as one vector
-and applies every hit with ``np.maximum.at`` and ``np.multiply.at``, a
-block of primes at a time (the bucket idea of Oliveira e Silva, Herzog and
-Pardi, Math. Comp. 83, 2014).  A segment that ends below 2^32 holds S, the
-product and the cofactor as uint32, any other as uint64; ``iter_segments``
-yields the values in that dtype, and a table holds them as uint64.  The
-last step is an unmasked max of S and the cofactor, which leaves 1 at
-j = 1; ``iter_segments`` writes the convention's S(1) over it.
+The range kernel divides nothing per prime.  For every base prime p <=
+sqrt(b), b the end of a segment, and every power p^k in range it raises the
+multiples of p^k in the segment to at least S(p^k).  The primes up to
+cbrt(b) also multiply p into a running product of the part of j over them.
+The larger ones, the split primes, keep no product when the strided loop
+reaches past cbrt(b): a j <= b has at most two prime factors above cbrt(b),
+so an array that holds S of the part of j over them (1, q, 2q or max(q,
+q')) stands in for that part.  One division of j by the product times that
+array leaves the one prime of j above sqrt(b), or 1, or a value below the
+array's entry (``_fill_segment`` gives the cases).  The powers 2^1..2^4,
+3^1..3^2, 5, 7, 11 and 13 are done once per process: a pre-sieve tile holds
+their S and product for j mod 720,720, and every segment starts as a copy
+of it (the PreSieve of primesieve, K. Walisch).  The higher powers of p <=
+13 and the primes up to span / _BAND_HITS then walk strided views of the
+segment, one prime at a time.  The larger primes, each of which hits the
+segment only a few times, form the large band: a bulk pass computes the
+offsets of all their powers as one vector and applies every hit with
+``np.maximum.at`` and ``np.multiply.at``, a block of primes at a time (the
+bucket idea of Oliveira e Silva, Herzog and Pardi, Math. Comp. 83, 2014).
+A segment that ends below 2^32 holds S, the product and the cofactor as
+uint32, any other as uint64; ``iter_segments`` yields the values in that
+dtype, and a table holds them as uint64.  The last step is an unmasked max
+of S and the cofactor, which leaves 1 at j = 1; ``iter_segments`` writes
+the convention's S(1) over it.
 
 ``iter_segments`` is the one source of S values: it yields the segments of
 a range in order, sieving the base primes once and filling whole segments of
