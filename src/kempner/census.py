@@ -165,12 +165,6 @@ def _count(x: int, gap: int, literal: bool, start: int, oracle, threads: int) ->
     )
 
 
-def _count_pairs(query: PairCountQuery, verify: bool, literal: bool, threads: int) -> CountReport:
-    oracle = (lambda: oracle_pair_count(query.x, query.half_gap)) if verify else None
-    start = 1 if literal else query.conv.sum_start
-    return _count(query.x, query.gap, literal, start, oracle, threads)
-
-
 def count_twin(
     x: int,
     conv: Convention = Convention.FORMULA_CONSISTENT,
@@ -187,8 +181,7 @@ def count_twin(
     from j = 1 with S(1) = 1, which overcounts by the documented j = 1
     anomaly; counts then exceed the sieve by 1 for every x >= 3.
     """
-    query = PairCountQuery(x, 1, conv)
-    return _count_pairs(query, verify, literal, threads)
+    return count_pairs(PairCountQuery(x, 1, conv), verify=verify, literal=literal, threads=threads)
 
 
 def count_pairs(
@@ -206,7 +199,9 @@ def count_pairs(
     j = 1 term is included under S(1) = 1 and overcounts by one whenever
     2n + 1 is prime; that mode exists to be reported, not corrected.
     """
-    return _count_pairs(query, verify, literal, threads)
+    oracle = (lambda: oracle_pair_count(query.x, query.half_gap)) if verify else None
+    start = 1 if literal else query.conv.sum_start
+    return _count(query.x, query.gap, literal, start, oracle, threads)
 
 
 def count_primes(

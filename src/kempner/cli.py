@@ -16,7 +16,7 @@ import numpy as np
 
 from . import census, oracle
 from .core import _I64_MAX, U64_MAX, Convention, s
-from .table import default_cache_dir, iter_segments, s_range
+from .table import default_cache_dir, iter_segments, write_cache
 
 _CONVENTIONS = {
     "paper": Convention.PAPER_LITERAL,
@@ -36,10 +36,6 @@ MAX_TRACE_ROWS = 1 << 20
 # fills the first half as uint32), the working arrays of the fill it runs
 # and an OS thread.
 MAX_THREADS = 4 * (os.cpu_count() or 1)
-# Most entries `table --format cache` accepts.  The table and the blob that
-# `STable.to_bytes` copies it into take about 16 bytes per entry, so this
-# keeps the write within the 2^32-byte cap of the oracle sieve (2^28 entries).
-MAX_CACHE_ENTRIES = oracle.DEFAULT_MEMORY_CAP // 16
 
 _X = click.IntRange(0, _I64_MAX)
 _N = click.IntRange(1, U64_MAX)
@@ -189,11 +185,6 @@ def table(lo: int, hi: int, out_path: str | None, fmt: str, convention: str, thr
     """Tabulate S(n) for n in [LO, HI] as CSV or a binary cache file."""
     if hi < lo:
         raise click.BadParameter(f"need LO <= HI, got [{lo}, {hi}]", param_hint="lo/hi")
-    if fmt == "cache" and hi - lo + 1 > MAX_CACHE_ENTRIES:
-        raise click.BadParameter(
-            f"a cache holds at most {MAX_CACHE_ENTRIES} entries; got {hi - lo + 1}",
-            param_hint="lo/hi",
-        )
     conv = _CONVENTIONS[convention]
     if fmt == "csv":
         # Opened before any work; each segment is written as soon as it is filled.
@@ -206,7 +197,6 @@ def table(lo: int, hi: int, out_path: str | None, fmt: str, convention: str, thr
         except OSError as exc:
             _exit_io(f"cannot write {'stdout' if out_path is None else out_path}", exc)
         return
-    stable = s_range(lo, hi, conv, threads=threads)
     if out_path is None:
         cache_dir = default_cache_dir()
         try:
@@ -214,8 +204,13 @@ def table(lo: int, hi: int, out_path: str | None, fmt: str, convention: str, thr
         except OSError as exc:
             _exit_io(f"cannot create {cache_dir}", exc)
         out_path = os.path.join(cache_dir, f"s_{lo}_{hi}_{conv.value}.skt")
+
+    def blocks():  # iter_segments starts only once write_cache has opened its temp file
+        for _, values in iter_segments(lo, hi, conv, threads=threads):
+            yield values
+
     try:
-        stable.save(out_path)
+        write_cache(out_path, lo, hi, conv, blocks())
     except OSError as exc:
         _exit_io(f"cannot write {out_path}", exc)
     click.echo(out_path)

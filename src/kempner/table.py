@@ -28,9 +28,11 @@ the convention's S(1) over it.
 ``iter_segments`` is the one source of S values: it yields the segments of
 a range in order, sieving the base primes once and filling whole segments of
 ``SEGMENT_SIZE`` entries in parallel, at most one per thread ahead of the
-consumer.  ``s_range`` has it write them into one table; the counters in
-:mod:`kempner.census` consume them from a ring of buffers in
-O(threads * SEGMENT_SIZE + pi(sqrt(hi))) memory.
+consumer, from a ring of buffers in O(threads * SEGMENT_SIZE + pi(sqrt(hi)))
+memory.  Every output reads that stream: ``s_range`` copies the segments
+into one table, ``write_cache`` writes them to a cache file as they come,
+and the counters in :mod:`kempner.census` and the CLI's CSV read them in
+place.
 
 Cache files are little-endian:
 
@@ -88,14 +90,43 @@ _CONV_CODE = {Convention.FORMULA_CONSISTENT: 0, Convention.PAPER_LITERAL: 1}
 _CONV_FROM_CODE = {code: conv for conv, code in _CONV_CODE.items()}
 
 
-def _checksum(*chunks) -> bytes:
-    """The 8-byte BLAKE2b digest of the chunks in turn: the checksum slot as stored."""
+def _digest(data=b""):
+    """A BLAKE2b hash of data whose 8-byte digest is the checksum slot as stored."""
     import hashlib  # loads OpenSSL, about 4 MiB of RSS, so only cache I/O pays for it
 
-    digest = hashlib.blake2b(digest_size=_CHECKSUM_SIZE)
-    for chunk in chunks:
-        digest.update(chunk)
-    return digest.digest()
+    return hashlib.blake2b(data, digest_size=_CHECKSUM_SIZE)
+
+
+def _chunks(lo: int, hi: int, conv: Convention, blocks):
+    """The bytes of the cache file of [lo, hi] in order: the header, each
+    block of values as little-endian u64 and the checksum of all before it."""
+    header = _HEADER.pack(_MAGIC, _VERSION, lo, hi, _CONV_CODE[conv])
+    digest = _digest(header)
+    yield header
+    for block in blocks:
+        block = block.astype("<u8", copy=False)
+        digest.update(block)
+        yield block
+    yield digest.digest()
+
+
+def write_cache(path, lo: int, hi: int, conv: Convention, blocks) -> None:
+    """Write the cache file of [lo, hi] from its blocks of values, one block at a time.
+
+    The write is atomic: a temp file in the same directory, opened before
+    the first block is read, then ``os.replace``, so a failed write leaves
+    any existing file intact.
+    """
+    tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            for chunk in _chunks(lo, hi, conv, blocks):
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 class CacheFormatError(ValueError):
@@ -131,9 +162,7 @@ class STable:
 
     def to_bytes(self) -> bytes:
         """Serialize to the checksummed cache format (deterministic bytes)."""
-        header = _HEADER.pack(_MAGIC, _VERSION, self.lo, self.hi, _CONV_CODE[self.conv])
-        values = self.values.astype("<u8", copy=False)
-        return b"".join((header, values, _checksum(header, values)))
+        return b"".join(_chunks(self.lo, self.hi, self.conv, [self.values]))
 
     @classmethod
     def from_bytes(cls, blob: bytes | bytearray) -> "STable":
@@ -162,7 +191,7 @@ class STable:
         expected = _HEADER.size + 8 * count + _CHECKSUM_SIZE
         if len(blob) != expected:
             raise CacheFormatError(f"length {len(blob)} != expected {expected}")
-        if _checksum(memoryview(blob)[:-_CHECKSUM_SIZE]) != blob[-_CHECKSUM_SIZE:]:
+        if _digest(memoryview(blob)[:-_CHECKSUM_SIZE]).digest() != blob[-_CHECKSUM_SIZE:]:
             raise CacheFormatError("checksum mismatch")
         values = np.frombuffer(blob, dtype="<u8", count=count, offset=_HEADER.size)
         if not values.flags.writeable:
@@ -170,18 +199,9 @@ class STable:
         return cls(lo, hi, _CONV_FROM_CODE[conv_code], values)
 
     def save(self, path) -> None:
-        """Write the cache file atomically: a temp file in the same directory,
-        then ``os.replace``, so a failed write leaves any existing file intact."""
-        blob = self.to_bytes()
-        tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
-        fh = open(tmp, "xb")
-        try:
-            with fh:
-                fh.write(blob)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        """Write the cache file atomically with :func:`write_cache`, the values
+        straight from the table, so no blob of the file is built."""
+        write_cache(path, self.lo, self.hi, self.conv, [self.values])
 
     @classmethod
     def load(cls, path) -> "STable":
@@ -226,7 +246,7 @@ def _tile() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fill_segment(dest: np.ndarray, a: int, b: int, base: np.ndarray) -> None:
-    """Compute S(j) for j in [a, b] into dest (dest aliases the output array).
+    """Compute S(j) for j in [a, b] into dest, working in the dtype of dest.
 
     Every multiple of p^k in the segment takes the max with S(p^k), which
     grows with k, so the highest power of p that divides j wins.  ``prod``
@@ -254,10 +274,10 @@ def _fill_segment(dest: np.ndarray, a: int, b: int, base: np.ndarray) -> None:
     _TILE_POWERS cost nothing per segment; the strided loop starts each
     p <= 13 at the first power past them (2^5, 3^3, 5^2, ...).  Primes up to
     max(13, n / _BAND_HITS) walk strided views of the segment; the larger
-    ones, which hit it rarely, go to the bulk pass in blocks.  S, ``prod``,
-    ``split`` and the cofactor are uint32 when b < 2^32 (every value and
-    product is at most j) and uint64 otherwise, and so is dest when
-    :func:`iter_segments` streams; a table's dest is always uint64.
+    ones, which hit it rarely, go to the bulk pass in blocks.  ``prod``,
+    ``split`` and the cofactor take the dtype of dest, which
+    :func:`iter_segments` makes uint32 when b < 2^32 (every value and
+    product is at most j) and uint64 otherwise.
 
     The last step is the max of S and the cofactor, unmasked.  For j >= 2 a
     cofactor of 1 means j has a base prime or a prime of the tile, so S is
@@ -266,14 +286,12 @@ def _fill_segment(dest: np.ndarray, a: int, b: int, base: np.ndarray) -> None:
     S(1).
     """
     n = b - a + 1
-    dtype = np.uint32 if b < 1 << 32 else np.uint64
-    s = dest if dest.dtype == dtype else np.empty(n, dtype=dtype)
-    prod = np.empty(n, dtype=dtype)
+    prod = np.empty_like(dest)
     smax, part = _tile()
     i, off = 0, a % _TILE
     while i < n:
         m = min(n - i, _TILE - off)
-        s[i : i + m] = smax[off : off + m]
+        dest[i : i + m] = smax[off : off + m]
         prod[i : i + m] = part[off : off + m]
         i, off = i + m, 0
     top = int(np.searchsorted(base, isqrt(b), side="right"))
@@ -287,18 +305,15 @@ def _fill_segment(dest: np.ndarray, a: int, b: int, base: np.ndarray) -> None:
             if off >= n:
                 break
             # S(p^k) = k*p while k <= p, which every p >= 17 meets below 2^64.
-            hits = s[off::q]
+            hits = dest[off::q]
             np.maximum(hits, k * p if k <= p else s_prime_power(p, k), out=hits)
             prod[off::q] *= p
             q, k = q * p, k + 1
     split = None
     if cut < edge:
         # Primes ascend, so each entry ends with the largest split prime that
-        # divides it, or 2p where p^2 does.  When S has its own array (a
-        # uint64 dest, S uint32), the first half of dest holds ``split``
-        # until the last step.
-        split = np.empty(n, dtype=dtype) if s is dest else dest.view(dtype)[:n]
-        split.fill(1)
+        # divides it, or 2p where p^2 does.
+        split = np.ones_like(dest)
         for p in base[cut:edge].tolist():
             off = (-a) % p
             if off < n:
@@ -306,16 +321,16 @@ def _fill_segment(dest: np.ndarray, a: int, b: int, base: np.ndarray) -> None:
                 off = (-a) % (p * p)
                 if off < n:
                     split[off :: p * p] = 2 * p
-    band = (s, prod) if split is None else (split, None)
+    band = (dest, prod) if split is None else (split, None)
     for start in range(edge, top, _BAND_BLOCK):
         _fill_band(*band, a, b, base[start : min(start + _BAND_BLOCK, top)])
     if split is not None:
         prod *= split  # the divisor prod * split is at most j
-        np.maximum(s, split, out=s)
+        np.maximum(dest, split, out=dest)
         del split  # freed before the residual takes its place
-    residual = np.arange(a, b + 1, dtype=dtype)
+    residual = np.arange(a, b + 1, dtype=dest.dtype)
     residual //= prod
-    np.maximum(s, residual, out=dest)
+    np.maximum(dest, residual, out=dest)
 
 
 def _fill_band(s: np.ndarray, prod: np.ndarray | None, a: int, b: int, primes: np.ndarray) -> None:
@@ -354,13 +369,11 @@ def iter_segments(
     conv: Convention = Convention.PAPER_LITERAL,
     *,
     threads: int = 1,
-    out: np.ndarray | None = None,
 ):
     """Yield (a, values) with values[i] = S(a + i), segment by segment over [lo, hi] in order.
 
     ``values`` is uint32 for a segment that ends below 2^32 (a view of the
-    first half of its uint64 buffer) and uint64 for any other, or a slice of
-    ``out``, which is uint64.
+    first half of its uint64 buffer) and uint64 for any other.
 
     The base primes are sieved once per call; the values do not depend on
     the thread count or the segment size.  ``threads``, cut to the number of
@@ -368,9 +381,7 @@ def iter_segments(
     ``SEGMENT_SIZE`` entries are filled into, and segment i + threads is
     started only once the consumer has returned from segment i, so a
     yielded view stays valid until then and at most ``threads`` segments
-    are in flight.  One thread fills inline and opens no pool.  The buffers
-    are private unless ``out`` (indexed by j - lo) is given, in which case
-    every segment is its own slice of it.
+    are in flight.  One thread fills inline and opens no pool.
     """
     lo = _as_u64(lo, "lo", minimum=1)
     hi = _as_u64(hi, "hi", minimum=lo)
@@ -380,17 +391,13 @@ def iter_segments(
     segment_size = SEGMENT_SIZE
     threads = min(threads, -(-(hi - lo + 1) // segment_size))
     base = _small_primes(isqrt(hi))
-    if out is None:
-        ring = np.empty((threads, min(segment_size, hi - lo + 1)), np.uint64)
+    ring = np.empty((threads, min(segment_size, hi - lo + 1)), np.uint64)
 
     def fill(a: int):
         b = min(a + segment_size - 1, hi)
-        if out is None:
-            values = ring[(a - lo) // segment_size % threads, : b - a + 1]
-            if b < 1 << 32:
-                values = values.view(np.uint32)[: b - a + 1]
-        else:
-            values = out[a - lo : b - lo + 1]
+        values = ring[(a - lo) // segment_size % threads, : b - a + 1]
+        if b < 1 << 32:
+            values = values.view(np.uint32)[: b - a + 1]
         _fill_segment(values, a, b, base)
         return a, values
 
@@ -417,14 +424,14 @@ def s_range(
 ) -> STable:
     """Compute S(j) for every j in [lo, hi] by segmented sieving.
 
-    The segments of :func:`iter_segments` are written in place into the
-    returned table; the result is bit-identical for every thread count.
+    The segments of :func:`iter_segments` are copied into the returned
+    table as they come; the result is bit-identical for every thread count.
     """
     lo = _as_u64(lo, "lo", minimum=1)
     hi = _as_u64(hi, "hi", minimum=lo)
     out = np.empty(hi - lo + 1, dtype=np.uint64)
-    for _ in iter_segments(lo, hi, conv, threads=threads, out=out):
-        pass
+    for a, values in iter_segments(lo, hi, conv, threads=threads):
+        out[a - lo : a - lo + values.size] = values
     return STable(lo, hi, conv, out)
 
 

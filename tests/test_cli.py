@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from kempner import census, cli, oracle, table
 from kempner.cli import main
-from kempner.core import s
-from kempner.table import STable
+from kempner.core import Convention, s
+from kempner.table import STable, s_range
+
+FORMULA = Convention.FORMULA_CONSISTENT
 
 
 @pytest.fixture
@@ -208,15 +210,22 @@ def test_table_csv_does_not_depend_on_segment_size_or_threads(runner):
             assert other.output == base, (segment_size, threads)
 
 
-def test_table_csv_streams_in_less_memory_than_the_values(runner, tmp_path):
-    path = tmp_path / "table.csv"
+def _traced_peak(fn):
+    """The traced peak of fn(), with the pre-sieve tile (3.6 MB, built once
+    per process) made first so that it counts in none of the calls."""
+    table._tile()
     tracemalloc.start()
     try:
-        with patch.object(table, "SEGMENT_SIZE", 4096):
-            result = invoke(runner, "table", "1", "200000", "--out", str(path))
-        _, peak = tracemalloc.get_traced_memory()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_table_csv_streams_in_less_memory_than_the_values(runner, tmp_path):
+    path = tmp_path / "table.csv"
+    with patch.object(table, "SEGMENT_SIZE", 4096):
+        result, peak = _traced_peak(lambda: invoke(runner, "table", "1", "200000", "--out", str(path)))
     assert result.exit_code == 0
     assert peak < 8 * 200_000  # the table's u64 values alone: 1.6 MB
     lines = path.read_text().splitlines()
@@ -224,31 +233,36 @@ def test_table_csv_streams_in_less_memory_than_the_values(runner, tmp_path):
     assert lines[-1] == f"200000,{s(200_000)},false"
 
 
-def test_table_cache_rejects_ranges_over_the_entry_bound(runner, monkeypatch, tmp_path):
-    assert cli.MAX_CACHE_ENTRIES == oracle.DEFAULT_MEMORY_CAP // 16
+def test_table_cache_streams_in_less_memory_than_the_values(runner, tmp_path):
     path = tmp_path / "cache.skt"
-    monkeypatch.setattr(cli, "MAX_CACHE_ENTRIES", 10)
-    with monkeypatch.context() as failing:
-        failing.setattr(cli, "s_range", lambda *args, **kwargs: pytest.fail("S values computed"))
-        result = runner.invoke(main, ["table", "5", "15", "--format", "cache", "--out", str(path)])
-    assert_usage_error(result)
-    assert "at most 10 entries; got 11" in result.output
-    assert not path.exists()
+    args = ("table", "1", "200000", "--format", "cache", "--out", str(path), "--threads", "2")
+    with patch.object(table, "SEGMENT_SIZE", 4096):
+        result, peak = _traced_peak(lambda: invoke(runner, *args))
+    assert result.exit_code == 0
+    assert peak < 8 * 200_000  # the table's u64 values alone: 1.6 MB
+    assert path.read_bytes() == s_range(1, 200_000, FORMULA).to_bytes()
     assert invoke(runner, "table", "6", "15", "--format", "cache", "--out", str(path)).exit_code == 0
     assert STable.load(path).values.tolist() == [s(j) for j in range(6, 16)]
-    assert len(invoke(runner, "table", "5", "15").output.splitlines()) == 12  # CSV streams
 
 
 @pytest.mark.parametrize("segment_size", [3, table.SEGMENT_SIZE])
-def test_table_csv_across_two_to_the_32_same_over_threads(runner, segment_size):
+def test_table_csv_across_two_to_the_32_same_over_threads(runner, tmp_path, segment_size):
     lo, hi = 2**32 - 5, 2**32 + 5
+    caches = []
     with patch.object(table, "SEGMENT_SIZE", segment_size):
         one = invoke(runner, "table", str(lo), str(hi), "--threads", "1").stdout_bytes
         two = invoke(runner, "table", str(lo), str(hi), "--threads", "2").stdout_bytes
+        for threads in ("1", "2"):
+            path = tmp_path / f"cache{threads}.skt"
+            invoke(runner, "table", str(lo), str(hi), "--format", "cache", "--out", str(path),
+                   "--threads", threads)
+            caches.append(path.read_bytes())
     assert one == two
     rows = one.decode().splitlines()
     assert rows[1] == f"{lo},{lo},true"  # 2^32 - 5 is prime
     assert rows[2:] == [f"{j},{s(j)},false" for j in range(lo + 1, hi + 1)]
+    # The segments below 2^32 stream as uint32 and are widened to u64.
+    assert caches == [s_range(lo, hi, FORMULA).to_bytes()] * 2
 
 
 def test_table_csv_unwritable_out_exits_before_any_work(runner, monkeypatch):
@@ -257,9 +271,10 @@ def test_table_csv_unwritable_out_exits_before_any_work(runner, monkeypatch):
 
     monkeypatch.setattr(cli, "iter_segments", no_work)
     monkeypatch.setattr(table, "_small_primes", no_work)
-    result = runner.invoke(main, ["table", "1", "10", "--out", "/nonexistent/t.csv"])
-    assert result.exit_code == 3
-    assert "cannot write /nonexistent/t.csv" in result.output
+    for fmt in ("csv", "cache"):
+        result = runner.invoke(main, ["table", "1", "10", "--format", fmt, "--out", "/nonexistent/t.csv"])
+        assert result.exit_code == 3, fmt
+        assert "cannot write /nonexistent/t.csv" in result.output
 
 
 @pytest.mark.parametrize("command, counter", [(["twins", "100"], "count_twin"),

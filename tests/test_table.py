@@ -544,3 +544,15 @@ def test_failed_save_keeps_existing_file_and_leaves_no_temp(tmp_path, monkeypatc
     assert os.listdir(tmp_path) == ["window.skt"]
     s_range(1, 500).save(path)
     assert len(STable.load(path)) == 500
+
+
+def test_save_writes_the_values_without_a_blob(tmp_path):
+    tab = STable(1, 1 << 20, FORMULA, np.arange(1, (1 << 20) + 1, dtype=np.uint64))
+    tracemalloc.start()
+    try:
+        tab.save(tmp_path / "big.skt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the values take 8 MiB
+    assert (tmp_path / "big.skt").read_bytes() == tab.to_bytes()
