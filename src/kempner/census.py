@@ -21,11 +21,14 @@ demonstrated and reported rather than silently hidden.
 Every count reads one stream of fixed-point flags S(j) = j for j in
 [1, x], taken segment by segment from :func:`kempner.table.iter_segments`.
 A pair counter carries the last 2n flags from one segment to the next, so
-memory is O(threads * SEGMENT_SIZE + 2n) rather than O(x) and one pass
-serves any number of gaps and readings.  The readings differ only in the
-flag at j = 1: it is unset in both default readings (S(1) = 0, or the sum
-starts at j = 2) and set in the literal one, where S(1) = 1 and the sum
-starts at j = 1.  All arithmetic is exact integers.
+memory is O(threads * SEGMENT_SIZE + 2n) rather than O(x), and one pass
+serves any number of gaps, each counted once for both readings.  The
+readings differ only in the j = 1 term.  The stream unsets the flag at
+j = 1, as both default readings do (S(1) = 0, or the sum starts at j = 2);
+the literal reading, where S(1) = 1 and the sum starts at j = 1, adds the
+term floor(S(1) S(1+2n) / (1+2n)) once x >= 1 + 2n.  That term is the
+fixed-point flag at 1 + 2n, read from the same stream (1 for gap 0, as
+S(1) = 1 is a fixed point).  All arithmetic is exact integers.
 """
 
 from __future__ import annotations
@@ -118,36 +121,53 @@ class _Tally:
     """Fixed points (gap 0) or pairs (j, j + gap) of fixed points, counted as
     the flag segments of [1, x] stream past, each hit at its larger member.
 
-    The last ``gap`` flags carry from one segment to the next, so a segment
-    may be shorter than the gap; no j <= 0 is a fixed point.  ``one`` is the
-    flag at j = 1 in this reading.  ``counts[i]`` is the number of hits up to
-    ``xs[i]`` (xs ascending).
+    The flags are the default reading's, with j = 1 unset.  The last ``gap``
+    flags carry from one segment to the next, so a segment may be shorter
+    than the gap; no j <= 0 is a fixed point.  ``counts[i]`` is the number of
+    hits up to ``xs[i]`` (xs ascending).  ``term`` is the literal reading's
+    j = 1 term, which it adds from x = 1 + gap on: the flag at 1 + gap, or 1
+    for gap 0.
     """
 
-    def __init__(self, gap: int, one: bool, xs: np.ndarray) -> None:
-        self.one, self.xs = one, xs
+    def __init__(self, gap: int, xs: np.ndarray) -> None:
+        self.gap, self.xs = gap, xs
         self.tail = np.zeros(gap, dtype=bool)
         self.counts = np.zeros(xs.size, dtype=np.int64)
         self.seen = 0
+        self.term = int(gap == 0)
 
     def feed(self, a: int, flags: np.ndarray) -> None:
-        if a == 1:
-            flags = flags.copy()
-            flags[0] = self.one
-        both = np.concatenate((self.tail, flags))
-        hits = np.flatnonzero(both[: flags.size] & flags) + a
-        self.tail = both[flags.size :]
-        lo, hi = np.searchsorted(self.xs, (a, a + flags.size))
-        self.counts[lo:hi] = self.seen + np.searchsorted(hits, self.xs[lo:hi], side="right")
+        n, gap = flags.size, self.gap
+        if gap and a <= 1 + gap < a + n:
+            self.term = int(flags[1 + gap - a])
+        if not gap:
+            pair = flags
+        elif n <= gap:
+            both = np.concatenate((self.tail, flags))
+            pair = both[:n] & flags
+            self.tail = both[n:]
+        else:
+            pair = np.empty(n, dtype=bool)
+            np.logical_and(self.tail, flags[:gap], out=pair[:gap])
+            np.logical_and(flags[:-gap], flags[gap:], out=pair[gap:])
+            self.tail = flags[-gap:].copy()
+        lo, hi = np.searchsorted(self.xs, (a, a + n))
+        if lo == hi:
+            self.seen += int(np.count_nonzero(pair))
+            return
+        hits = np.flatnonzero(pair)
+        self.counts[lo:hi] = self.seen + np.searchsorted(hits, self.xs[lo:hi] - a, side="right")
         self.seen += hits.size
 
 
 def _stream(x: int, tallies: list[_Tally], threads: int) -> None:
-    """Feed every tally the fixed-point flags of j in [1, x] from one pass over S."""
+    """Feed every tally the fixed-point flags of j in [1, x], j = 1 unset, from one pass over S."""
     if x < 1:
         return
     for a, values in iter_segments(1, x, threads=threads):
         flags = values == np.arange(a, a + values.size, dtype=values.dtype)
+        if a == 1:
+            flags[0] = False
         for tally in tallies:
             tally.feed(a, flags)
 
@@ -263,8 +283,9 @@ def sample_counts(
     ``counts[r, k, i]`` is the count at x = xs[i] of gap 2n = gaps[k] pairs
     under reading literal[r], as :func:`count_pairs` gives it with
     ``literal=literal[r]``; gap 0 counts primes as :func:`count_primes` does.
-    Each reading runs the same sums over the same flags, the literal one
-    with the flag at j = 1 set.  ``xs = np.arange(x + 1)`` gives every count
+    One tally per gap serves every reading: the literal count is the
+    default count plus the j = 1 term, the flag at 1 + 2n read from the
+    stream, from x = 1 + 2n on.  ``xs = np.arange(x + 1)`` gives every count
     up to x.
     """
     xs = np.asarray(xs, dtype=np.int64)
@@ -272,11 +293,15 @@ def sample_counts(
         raise ValueError("sample points must be ascending and >= 0")
     top = int(xs[-1]) if xs.size else 0
     # No pair up to top has a gap of top or more, so such a gap counts as top
-    # does and carries no more than top flags.
-    tallies = [_Tally(min(gap, top), one, xs) for one in literal for gap in gaps]
+    # does and carries no more than top flags; its term lies past top.
+    tallies = [_Tally(min(gap, top), xs) for gap in gaps]
     _stream(top, tallies, threads)
-    counts = np.array([t.counts for t in tallies]).reshape(len(literal), len(gaps), -1)
-    for k, gap in enumerate(gaps):
+    counts = np.empty((len(literal), len(gaps), xs.size), dtype=np.int64)
+    for k, (gap, tally) in enumerate(zip(gaps, tallies)):
+        for r, one in enumerate(literal):
+            counts[r, k] = tally.counts
+            if one and tally.term:
+                counts[r, k] += xs >= 1 + tally.gap
         if gap in _COMPOSITE_HITS:
             counts[:, k] -= xs >= _COMPOSITE_HITS[gap]
     return counts

@@ -160,9 +160,11 @@ def pair_counts_at(
     """Pair counts at sampled x: ``counts[k, i]`` counts the prime pairs
     (p, p + gaps[k]) with p + gaps[k] <= xs[i].
 
-    The sieve is unpacked once; each gap costs one scan of the flags for
-    its pairs and one binary search per sampled x.  The xs and gaps are
-    checked, below 2^63, before the sieve is built.
+    Both members of a pair are odd, as the gap is even, so the odd-only bits
+    are unpacked once, to the flags of the odd numbers up to max(xs); each
+    gap costs one scan of them, odd k and k + gap/2 for the pair
+    (2k + 1, 2(k + gap/2) + 1), and one binary search per sampled x.  The
+    xs and gaps are checked, below 2^63, before the sieve is built.
     """
     xs = np.asarray(xs)
     max_x = _as_i64(int(xs.max()) if xs.size else 0, "max(xs)")
@@ -173,9 +175,12 @@ def pair_counts_at(
     xs = xs.astype(np.int64)
     if sieve is None:
         sieve = sieve_primes(max_x)
-    flags = sieve.flags(max_x)
+    if max_x > sieve.limit:
+        raise ValueError(f"{max_x} beyond sieve limit {sieve.limit}")
+    odd = np.unpackbits(sieve.bits, count=(max_x + 1) // 2).view(bool)
     counts = np.empty((len(gaps), xs.size), dtype=np.int64)
     for k, gap in enumerate(gaps):
-        larger = np.flatnonzero(flags[:-gap] & flags[gap:]) + gap
+        h = gap // 2
+        larger = 2 * (np.flatnonzero(odd[:-h] & odd[h:]) + h) + 1
         counts[k] = np.searchsorted(larger, xs, side="right")
     return counts

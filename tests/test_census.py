@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kempner import table
+from kempner import census
 from kempner.census import (
     PairCountQuery,
     count_pairs,
@@ -286,6 +287,56 @@ def test_literal_pairs_overcount_iff_gap_plus_one_prime(sieve_100k):
         expected = 1 if is_prime(threshold) else 0
         assert (delta[:threshold] == 0).all(), half_gap
         assert (delta[threshold:] == expected).all(), half_gap
+
+
+# Gaps 2n with 2n + 1 prime (the literal j = 1 term can be 1) and composite.
+_LITERAL_GAPS = [0, 2, 4, 6, 8, 10, 14, 20, 24, 26]
+
+
+@st.composite
+def _literal_case(draw):
+    """Ascending xs (duplicates, 0 and 1 allowed), gaps, and a segment size near a gap."""
+    xs = sorted(draw(st.lists(st.integers(0, 90), min_size=1, max_size=12)))
+    xs = sorted(xs + draw(st.sampled_from([[], [0], [1], [0, 1], [xs[-1]]])))
+    gaps = draw(st.lists(st.sampled_from(_LITERAL_GAPS), min_size=1, max_size=3))
+    gaps.append(xs[-1] + 2 + 2 * draw(st.integers(0, 3)))  # past max(xs)
+    gap = draw(st.sampled_from(gaps))
+    segment_size = draw(st.sampled_from([1, 7, max(1, gap - 1), gap + 1]))
+    return np.array(xs), gaps, segment_size, draw(st.sampled_from([1, 2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_literal_case())
+def test_literal_counts_are_the_plain_sum_from_one(case):
+    # The literal reading adds the j = 1 term, the flag at 1 + 2n, to the default
+    # count; here it is checked against the summands of the sum from j = 1.
+    xs, gaps, segment_size, threads = case
+    top = int(xs[-1])
+    values = [0] + s_range(1, top, PAPER).values.tolist() if top else [0]
+    with patch.object(table, "SEGMENT_SIZE", segment_size):
+        got = sample_counts(xs, gaps, (True,), threads=threads)[0]
+    for k, gap in enumerate(gaps):
+        for i, x in enumerate(xs.tolist()):
+            if gap:
+                terms = [pair_term(j, gap // 2, values[j], values[j + gap]) for j in range(1, x - gap + 1)]
+            else:
+                terms = [values[j] // j for j in range(1, x + 1)]
+            composite = int(x >= census._COMPOSITE_HITS.get(gap, x + 1))
+            assert got[k, i] == sum(terms) - composite, (gap, x)
+
+
+def test_one_tally_per_gap_serves_both_readings(monkeypatch):
+    feeds = []
+    feed = census._Tally.feed
+    monkeypatch.setattr(census._Tally, "feed", lambda self, a, flags: feeds.append(a) or feed(self, a, flags))
+    with patch.object(table, "SEGMENT_SIZE", 64):
+        counts = sample_counts(np.arange(1001), [2, 4, 8, 14])
+    segments = -(-1000 // 64)
+    assert len(feeds) == 4 * segments
+    assert sorted(set(feeds)) == list(range(1, 1001, 64))
+    truth = pair_counts_at(np.arange(1001), [2, 4, 8, 14])
+    literal_term = np.array([[1], [1], [0], [0]]) * (np.arange(1001) >= [[3], [5], [9], [15]])
+    np.testing.assert_array_equal(counts, [truth, truth + literal_term])
 
 
 def test_literal_point_count_matches_sweep():

@@ -125,6 +125,25 @@ def test_pair_counts_at_sampled_x_match_point_counts(sieve_100k):
     assert pair_counts_at(np.array([], dtype=np.int64), [2]).shape == (1, 0)
 
 
+def test_pair_counts_at_edge_sizes(sieve_100k):
+    # Half gaps at and past the number of odd flags up to max(xs) find no pair.
+    xs = np.array([0, 1, 2, 9, 9])
+    for gap in (2 * 5, 2 * 6, 2**40):
+        assert pair_counts_at(xs, [gap], sieve_100k).tolist() == [[0] * 5]
+    assert pair_counts_at(xs, [2, 4, 8], sieve_100k).tolist() == [
+        [0, 0, 0, 2, 2],  # (3, 5), (5, 7)
+        [0, 0, 0, 1, 1],  # (3, 7)
+        [0, 0, 0, 0, 0],  # (1, 9): neither is prime
+    ]
+    for max_x in (0, 1, 2):
+        xs = np.arange(max_x + 1)
+        assert (pair_counts_at(xs, [2, 4]) == 0).all()
+        assert (pair_counts_at(xs, [2], sieve_primes(max_x)) == 0).all()
+    empty = np.array([], dtype=np.int64)
+    assert pair_counts_at(empty, [2, 4], sieve_100k).shape == (2, 0)
+    assert pair_counts_at(empty, []).shape == (0, 0)
+
+
 def test_pair_counts_at_rejects_odd_or_small_gaps(sieve_100k):
     for gap in (0, 1, 3):
         with pytest.raises(ValueError):
