@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kempner import table
-from kempner import census
+from kempner import census, table
 from kempner.census import (
     PairCountQuery,
     count_pairs,
