@@ -140,22 +140,15 @@ class _Tally:
         n, gap = flags.size, self.gap
         if gap and a <= 1 + gap < a + n:
             self.term = int(flags[1 + gap - a])
-        if not gap:
-            pair = flags
-        elif n <= gap:
-            both = np.concatenate((self.tail, flags))
-            pair = both[:n] & flags
-            self.tail = both[n:]
-        else:
-            pair = np.empty(n, dtype=bool)
-            np.logical_and(self.tail, flags[:gap], out=pair[:gap])
-            np.logical_and(flags[:-gap], flags[gap:], out=pair[gap:])
-            self.tail = flags[-gap:].copy()
-        lo, hi = np.searchsorted(self.xs, (a, a + n))
-        if lo == hi:
-            self.seen += int(np.count_nonzero(pair))
-            return
+        # The pair at each flag ANDs it with the flag gap places back: the
+        # carried tail for the first m, the segment itself after them.
+        m = min(n, gap)
+        pair = np.empty(n, dtype=bool)
+        np.logical_and(self.tail[:m], flags[:m], out=pair[:m])
+        np.logical_and(flags[: n - m], flags[m:], out=pair[m:])
+        self.tail = np.concatenate((self.tail[m:], flags[n - m :]))
         hits = np.flatnonzero(pair)
+        lo, hi = np.searchsorted(self.xs, (a, a + n))
         self.counts[lo:hi] = self.seen + np.searchsorted(hits, self.xs[lo:hi] - a, side="right")
         self.seen += hits.size
 

@@ -53,15 +53,19 @@ class PrimeSieve:
         k = (n - 1) // 2
         return bool((self.bits[k >> 3] >> (7 - (k & 7))) & 1)
 
-    def flags(self, upto: int | None = None) -> np.ndarray:
-        """Primality as a dense bool array indexed by n, for n in [0, upto]."""
+    def odd_flags(self, upto: int | None = None) -> np.ndarray:
+        """Primality of the odd numbers 2k + 1 <= upto, as a bool array indexed by k."""
         upto = self.limit if upto is None else _as_u64(upto, "upto")
         if upto > self.limit:
             raise ValueError(f"{upto} beyond sieve limit {self.limit}")
+        return np.unpackbits(self.bits, count=(upto + 1) // 2).view(bool)
+
+    def flags(self, upto: int | None = None) -> np.ndarray:
+        """Primality as a dense bool array indexed by n, for n in [0, upto]."""
+        upto = self.limit if upto is None else _as_u64(upto, "upto")
+        odd = self.odd_flags(upto)
         out = np.zeros(upto + 1, dtype=bool)
-        n_odd = (upto + 1) // 2
-        if n_odd:
-            out[1::2] = np.unpackbits(self.bits, count=n_odd).view(bool)
+        out[1::2] = odd
         if upto >= 2:
             out[2] = True
         return out
@@ -82,8 +86,10 @@ def _simple_odd_primes(limit: int) -> list[int]:
 def check_limit(limit: int, max_bytes: int = DEFAULT_MEMORY_CAP) -> None:
     """Raise ValueError when counting to limit would take more than max_bytes.
 
-    A count holds the packed flags, then unpacks them to one byte per n
-    (:meth:`PrimeSieve.flags`) and ANDs a pair mask of the same length.
+    A prime count holds the packed flags and unpacks them to one byte per n
+    (:meth:`PrimeSieve.flags`); a pair count unpacks them to one byte per odd
+    n (:meth:`PrimeSieve.odd_flags`) and ANDs a pair mask of the same length.
+    Either fits in the packed flags plus 2 bytes per n.
     """
     need = ((limit + 1) // 2 + 7) // 8 + 2 * (limit + 1)
     if need > max_bytes:
@@ -175,9 +181,7 @@ def pair_counts_at(
     xs = xs.astype(np.int64)
     if sieve is None:
         sieve = sieve_primes(max_x)
-    if max_x > sieve.limit:
-        raise ValueError(f"{max_x} beyond sieve limit {sieve.limit}")
-    odd = np.unpackbits(sieve.bits, count=(max_x + 1) // 2).view(bool)
+    odd = sieve.odd_flags(max_x)
     counts = np.empty((len(gaps), xs.size), dtype=np.int64)
     for k, gap in enumerate(gaps):
         h = gap // 2
