@@ -29,6 +29,9 @@ def test_sieve_agrees_with_is_prime_exhaustively(sieve_100k):
     flags = sieve_100k.flags()
     mine = np.fromiter((is_prime(n) for n in range(10**5 + 1)), dtype=bool)
     assert (flags == mine).all()
+    assert (sieve_100k.odd_flags() == flags[1::2]).all()
+    for upto in (0, 1, 2, 3, 10, 99_999):
+        assert (sieve_100k.odd_flags(upto) == sieve_100k.flags(upto)[1::2]).all()
 
 
 def test_sieve_point_queries_random(sieve_100k):
@@ -39,8 +42,11 @@ def test_sieve_point_queries_random(sieve_100k):
 
 
 def test_sieve_point_query_out_of_range(sieve_100k):
-    with pytest.raises(ValueError):
-        sieve_100k.is_prime(10**5 + 1)
+    for read in (sieve_100k.is_prime, sieve_100k.flags, sieve_100k.odd_flags):
+        with pytest.raises(ValueError, match="beyond sieve limit"):
+            read(10**5 + 1)
+    with pytest.raises(ValueError, match="beyond sieve limit"):
+        pair_counts_at(np.array([10**5 + 1]), [2], sieve_100k)
 
 
 def test_popcount_plus_two_is_pi(sieve_100k):
