@@ -38,7 +38,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .core import Convention, _as_i64, _as_u64
+from .core import Convention, _as_i64, _as_u64, _check_convention
 from .oracle import oracle_pair_count, oracle_pi
 from .table import iter_segments, s_range
 
@@ -74,6 +74,7 @@ class PairCountQuery:
         object.__setattr__(self, "x", _as_i64(self.x, "x"))
         object.__setattr__(self, "half_gap", _as_u64(self.half_gap, "half_gap", minimum=1))
         _as_i64(self.gap, "gap")
+        _check_convention(self.conv)
 
     @property
     def gap(self) -> int:
@@ -232,6 +233,7 @@ def count_primes(
     since the sum starts at j = 2.
     """
     x = _as_i64(x, "x")
+    _check_convention(conv)
     oracle = (lambda: oracle_pi(x)) if verify else None
     return _count(x, 0, False, 2, oracle, threads)
 

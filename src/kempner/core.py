@@ -85,6 +85,12 @@ class Convention(Enum):
         return 2 if self is Convention.PAPER_LITERAL else 1
 
 
+def _check_convention(conv) -> None:
+    """Reject a conv that is not a Convention member (a string such as "paper" included)."""
+    if not isinstance(conv, Convention):
+        raise TypeError(f"conv must be a Convention member (got {conv!r})")
+
+
 # Deterministic Miller-Rabin witnesses covering every n < 2^64.
 _MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

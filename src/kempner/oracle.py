@@ -1,8 +1,9 @@
 """Independent ground truth for the prime and prime-pair counts.
 
-A classic segmented, odd-only sieve of Eratosthenes with flags packed eight
-to a byte.  Nothing here shares a code path with the kernels under test;
-only the integer argument checks come from core.
+A classic segmented, odd-only sieve of Eratosthenes (Bays & Hudson, BIT 17,
+1977): one bool flag per odd number, marked segment by segment in place.
+Nothing here shares a code path with the kernels under test; only the
+integer argument checks come from core.
 """
 
 from __future__ import annotations
@@ -24,41 +25,38 @@ __all__ = [
     "sieve_primes",
 ]
 
-# Bytes a count to a limit may take: the packed flags plus 2 bytes per n
-# (the unpacked flags and a pair mask of the same length).  2^32 covers
-# limits near 2.08e9.
+# Bytes a sieve and a count to a limit may take (see check_limit), and the
+# bytes of a pi_sweep.  2^32 covers sieves to limits near 2.08e9.
 DEFAULT_MEMORY_CAP = 1 << 32
+
+# Odd numbers per sieve segment; the flags do not depend on it (tests patch it).
+SEGMENT_SIZE = 1 << 20
 
 
 @dataclass
 class PrimeSieve:
-    """Packed odd-only primality flags for all n <= limit.
+    """Odd-only primality flags for all n <= limit.
 
-    Bit k (MSB-first within each byte, matching ``np.packbits``) flags the
-    odd number 2k + 1; the prime 2 is handled explicitly.
+    ``odd[k]`` (read-only) flags the odd number 2k + 1; the prime 2 is
+    handled explicitly.
     """
 
     limit: int
-    bits: np.ndarray  # uint8
+    odd: np.ndarray  # bool
 
     def is_prime(self, n: int) -> bool:
-        """Bit test for 0 <= n <= limit."""
+        """Flag test for 0 <= n <= limit."""
         n = _as_u64(n, "n")
         if n > self.limit:
             raise ValueError(f"{n} beyond sieve limit {self.limit}")
-        if n == 2:
-            return True
-        if n < 2 or n % 2 == 0:
-            return False
-        k = (n - 1) // 2
-        return bool((self.bits[k >> 3] >> (7 - (k & 7))) & 1)
+        return n == 2 or (n % 2 == 1 and bool(self.odd[n // 2]))
 
     def odd_flags(self, upto: int | None = None) -> np.ndarray:
-        """Primality of the odd numbers 2k + 1 <= upto, as a bool array indexed by k."""
+        """Primality of the odd numbers 2k + 1 <= upto, as a read-only view indexed by k."""
         upto = self.limit if upto is None else _as_u64(upto, "upto")
         if upto > self.limit:
             raise ValueError(f"{upto} beyond sieve limit {self.limit}")
-        return np.unpackbits(self.bits, count=(upto + 1) // 2).view(bool)
+        return self.odd[: (upto + 1) // 2]
 
     def flags(self, upto: int | None = None) -> np.ndarray:
         """Primality as a dense bool array indexed by n, for n in [0, upto]."""
@@ -71,86 +69,77 @@ class PrimeSieve:
         return out
 
 
-def _simple_odd_primes(limit: int) -> list[int]:
-    """Odd primes <= limit (base primes for segment marking)."""
-    if limit < 3:
-        return []
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return [int(p) for p in np.flatnonzero(flags) if p % 2]
+def check_limit(limit: int) -> None:
+    """Raise ValueError when sieving and counting to limit would pass DEFAULT_MEMORY_CAP.
 
-
-def check_limit(limit: int, max_bytes: int = DEFAULT_MEMORY_CAP) -> None:
-    """Raise ValueError when counting to limit would take more than max_bytes.
-
-    A prime count holds the packed flags and unpacks them to one byte per n
-    (:meth:`PrimeSieve.flags`); a pair count unpacks them to one byte per odd
-    n (:meth:`PrimeSieve.odd_flags`) and ANDs a pair mask of the same length.
-    Either fits in the packed flags plus 2 bytes per n.
+    The charge is ceil(n_odd / 8) + 2 (limit + 1) bytes, n_odd = (limit + 1) // 2.
+    It covers the sieve's odd flags (n_odd bytes) plus what a count adds on
+    top: the dense flags of :meth:`PrimeSieve.flags` (one byte per n), or a
+    pair mask (one byte per odd n) and the larger members of its pairs.
+    Under the default cap it admits limits up to 2,082,408,384.
     """
     need = ((limit + 1) // 2 + 7) // 8 + 2 * (limit + 1)
-    if need > max_bytes:
+    if need > DEFAULT_MEMORY_CAP:
         raise ValueError(
-            f"sieve to {limit} needs {need} bytes of flags, over the cap of {max_bytes}"
+            f"sieve to {limit} needs {need} bytes of flags, over the cap of {DEFAULT_MEMORY_CAP}"
         )
 
 
-def sieve_primes(
-    limit: int,
-    max_bytes: int = DEFAULT_MEMORY_CAP,
-    segment_size: int = 1 << 20,
-) -> PrimeSieve:
+def sieve_primes(limit: int) -> PrimeSieve:
     """Segmented odd-only sieve of Eratosthenes up to limit, inclusive.
 
-    Rejects limits whose counts would take more than max_bytes (see
-    :func:`check_limit`); working memory beyond the bitset is one bool
-    segment plus the base primes.
+    Rejects limits over the memory cap (see :func:`check_limit`).  The base
+    primes, the odd primes up to isqrt(limit), come from this same sieve;
+    each segment of SEGMENT_SIZE flags is marked in place.
     """
     limit = _as_u64(limit, "limit")
-    check_limit(limit, max_bytes)
-    n_odd = (limit + 1) // 2
-    # Segments pack independently, so keep them byte-aligned in bit count.
-    segment_size = max(8, segment_size - segment_size % 8)
-    base = _simple_odd_primes(isqrt(limit))
-    pieces = []
-    for k0 in range(0, n_odd, segment_size):
-        k1 = min(k0 + segment_size, n_odd)  # odd indices [k0, k1): numbers 2k+1
-        seg = np.ones(k1 - k0, dtype=bool)
-        if k0 == 0:
-            seg[0] = False  # the number 1
-        hi_val = 2 * (k1 - 1) + 1
+    check_limit(limit)
+    root = isqrt(limit)
+    base = [] if root < 3 else (2 * np.flatnonzero(sieve_primes(root).odd) + 1).tolist()
+    odd = np.ones((limit + 1) // 2, dtype=bool)
+    odd[:1] = False  # the number 1
+    for k0 in range(0, odd.size, SEGMENT_SIZE):
+        seg = odd[k0 : k0 + SEGMENT_SIZE]  # flags of 2k + 1 for k0 <= k < k0 + seg.size
+        hi_val = 2 * (k0 + seg.size) - 1
         for p in base:
             start = p * p
             if start > hi_val:
                 break
-            first = max(start, ((2 * k0 + 1 + p - 1) // p) * p)
+            first = max(start, -(-(2 * k0 + 1) // p) * p)
             if first % 2 == 0:
                 first += p
-            if first > hi_val:
-                continue
             seg[(first - 1) // 2 - k0 :: p] = False
-        pieces.append(np.packbits(seg))
-    bits = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.uint8)
-    return PrimeSieve(limit, bits)
+    odd.flags.writeable = False
+    return PrimeSieve(limit, odd)
 
 
 def oracle_pi(x: int, sieve: PrimeSieve | None = None) -> int:
-    """Exact pi(x) by direct sieve count."""
+    """Exact pi(x): the odd primes up to x, counted in place, plus the prime 2."""
     x = _as_u64(x, "x")
     if sieve is None:
         sieve = sieve_primes(x)
-    return int(np.count_nonzero(sieve.flags(x)))
+    return int(np.count_nonzero(sieve.odd_flags(x))) + (x >= 2)
 
 
 def pi_sweep(max_x: int, sieve: PrimeSieve | None = None) -> np.ndarray:
-    """pi(x) for every x in [0, max_x], as one cumulative-sum array."""
+    """pi(x) for every x in [0, max_x], as one int64 array summed in place.
+
+    Raises ValueError, before any allocation, when its 8 bytes per x pass
+    DEFAULT_MEMORY_CAP.
+    """
     max_x = _as_u64(max_x, "max_x")
+    need = 8 * (max_x + 1)
+    if need > DEFAULT_MEMORY_CAP:
+        raise ValueError(
+            f"pi_sweep to {max_x} needs {need} bytes, over the cap of {DEFAULT_MEMORY_CAP}"
+        )
     if sieve is None:
         sieve = sieve_primes(max_x)
-    return np.cumsum(sieve.flags(max_x), dtype=np.int64)
+    pi = np.zeros(max_x + 1, dtype=np.int64)
+    pi[1::2] = sieve.odd_flags(max_x)
+    if max_x >= 2:
+        pi[2] = 1
+    return np.cumsum(pi, out=pi)
 
 
 def oracle_pair_count(x: int, half_gap: int, sieve: PrimeSieve | None = None) -> int:
@@ -166,10 +155,9 @@ def pair_counts_at(
     """Pair counts at sampled x: ``counts[k, i]`` counts the prime pairs
     (p, p + gaps[k]) with p + gaps[k] <= xs[i].
 
-    Both members of a pair are odd, as the gap is even, so the odd-only bits
-    are unpacked once, to the flags of the odd numbers up to max(xs); each
-    gap costs one scan of them, odd k and k + gap/2 for the pair
-    (2k + 1, 2(k + gap/2) + 1), and one binary search per sampled x.  The
+    Both members of a pair are odd, as the gap is even, so each gap costs
+    one scan of the odd-only flags up to max(xs), odd k and k + gap/2 for
+    the pair (2k + 1, 2(k + gap/2) + 1), and one binary search per sampled x.  The
     xs and gaps are checked, below 2^63, before the sieve is built.
     """
     xs = np.asarray(xs)

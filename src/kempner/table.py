@@ -61,7 +61,7 @@ from math import isqrt
 
 import numpy as np
 
-from .core import Convention, _as_u64, _small_primes, s_prime_power
+from .core import Convention, _as_u64, _check_convention, _small_primes, s_prime_power
 
 __all__ = [
     "CacheFormatError",
@@ -145,6 +145,7 @@ class STable:
     def __post_init__(self) -> None:
         self.lo = _as_u64(self.lo, "lo", minimum=1)
         self.hi = _as_u64(self.hi, "hi", minimum=self.lo)
+        _check_convention(self.conv)
         self.values = np.ascontiguousarray(self.values, dtype=np.uint64)
         if self.values.shape != (self.hi - self.lo + 1,):
             raise ValueError(
@@ -385,6 +386,7 @@ def iter_segments(
     """
     lo = _as_u64(lo, "lo", minimum=1)
     hi = _as_u64(hi, "hi", minimum=lo)
+    _check_convention(conv)
     threads = operator.index(threads)
     if threads < 1:
         raise ValueError(f"threads must be >= 1 (got {threads})")

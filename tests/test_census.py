@@ -130,6 +130,18 @@ def test_count_pairs_rejects_zero_half_gap():
         PairCountQuery(100, 0)
 
 
+def test_a_conv_that_is_not_a_convention_member_is_rejected():
+    for call in (
+        lambda: s_range(2, 5, "junk"),
+        lambda: s_range(1, 5, "junk"),
+        lambda: count_twin(10, "paper"),
+        lambda: count_primes(10, "junk"),
+    ):
+        with pytest.raises(TypeError, match="Convention member"):
+            call()
+    assert count_primes(10, PAPER).formula_count == 4
+
+
 def test_count_pairs_delegates_twin_case():
     via_pairs = count_pairs(PairCountQuery(500, 1))
     direct = count_twin(500)

@@ -403,8 +403,8 @@ def test_segment_and_thread_values_below_one_are_usage_errors(runner, command, o
                                      ["twins", "5000000000", "--verify"],
                                      ["pairs", "5000000000", "--gap", "6", "--verify"],
                                      ["pi", "5000000000", "--verify"],
-                                     # Under 2^28 packed bytes, but over the 2^32-byte cap
-                                     # once the unpacked flags and a pair mask count.
+                                     # Over the 2^32-byte cap once the 2 bytes per n
+                                     # for a dense copy or a pair mask count.
                                      ["pi", "4000000000", "--verify"],
                                      ["twins", "2082408385", "--verify"]])
 def test_oracle_cap_rejected_before_any_work(runner, monkeypatch, command):

@@ -1,6 +1,7 @@
 """Sieve oracle: exactness, agreement with the primality kernel, examples."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,20 @@ def test_sieve_examples():
     empty = sieve_primes(0)
     assert oracle_pi(0, empty) == 0
     assert empty.flags().tolist() == [False]
+
+
+def test_flags_match_is_prime_at_every_small_limit():
+    # Limits below 9 have no base primes; the next ones sieve their base
+    # primes from sieves to 3..14.
+    for limit in range(201):
+        sieve = sieve_primes(limit)
+        assert sieve.flags().tolist() == [is_prime(n) for n in range(limit + 1)], limit
+        assert sieve.odd.size == (limit + 1) // 2
+
+
+def test_sieve_flags_are_read_only(sieve_100k):
+    with pytest.raises(ValueError, match="read-only"):
+        sieve_100k.odd_flags()[0] = True
 
 
 def test_sieve_agrees_with_is_prime_exhaustively(sieve_100k):
@@ -50,34 +65,37 @@ def test_sieve_point_query_out_of_range(sieve_100k):
 
 
 def test_popcount_plus_two_is_pi(sieve_100k):
-    n_odd = (sieve_100k.limit + 1) // 2
-    set_bits = int(np.unpackbits(sieve_100k.bits, count=n_odd).sum())
-    assert set_bits + 1 == oracle_pi(sieve_100k.limit, sieve_100k) == 9592
+    assert int(sieve_100k.odd.sum()) + 1 == oracle_pi(sieve_100k.limit, sieve_100k) == 9592
 
 
-def test_sieve_memory_cap():
-    with pytest.raises(ValueError):
-        sieve_primes(10**6, max_bytes=100)
-
-
-def test_check_limit_counts_the_unpacked_flags():
-    # To 100: 7 bytes of packed flags (50 odd n), then 101 bytes of unpacked
-    # flags and 101 of a pair mask.
-    check_limit(100, max_bytes=209)
+def test_sieve_memory_cap(monkeypatch):
+    monkeypatch.setattr(oracle, "DEFAULT_MEMORY_CAP", 100)
     with pytest.raises(ValueError, match="over the cap"):
-        check_limit(100, max_bytes=208)
-    # The default cap of 2^32 bytes ends near 2.08e9, not at 2^28 packed bytes
-    # (near 4.29e9).
+        sieve_primes(10**6)
+
+
+def test_check_limit_counts_the_unpacked_flags(monkeypatch):
+    # To 100 the charge is 7 bytes (50 odd n, one bit each) plus 2 bytes per
+    # n: 209 bytes, which cover the 50 odd flags and 101 dense flags.
+    monkeypatch.setattr(oracle, "DEFAULT_MEMORY_CAP", 209)
+    check_limit(100)
+    monkeypatch.setattr(oracle, "DEFAULT_MEMORY_CAP", 208)
+    with pytest.raises(ValueError, match="over the cap"):
+        check_limit(100)
+    monkeypatch.undo()
+    # The default cap of 2^32 bytes ends near 2.08e9, not where the odd flags
+    # alone (one byte per odd n) would fill it, near 8.6e9.
     check_limit(2_082_408_384)
     for limit in (2_082_408_385, 4_000_000_000):
         with pytest.raises(ValueError, match="over the cap"):
             check_limit(limit)
 
 
-def test_segmentation_does_not_change_flags():
-    coarse = sieve_primes(10**5).flags()
-    fine = sieve_primes(10**5, segment_size=997).flags()
-    assert (coarse == fine).all()
+def test_segmentation_does_not_change_flags(monkeypatch, sieve_100k):
+    for segment_size in (1, 7, 997):
+        monkeypatch.setattr(oracle, "SEGMENT_SIZE", segment_size)
+        assert (sieve_primes(10**5).odd == sieve_100k.odd).all(), segment_size
+        assert sieve_primes(200).flags().tolist() == [is_prime(n) for n in range(201)]
 
 
 def test_oracle_pair_count_examples():
@@ -112,6 +130,40 @@ def test_pi_increments_track_primality(sieve_100k):
     sweep = pi_sweep(3000, sieve_100k)
     for x in range(1, 3001):
         assert sweep[x] - sweep[x - 1] == (1 if is_prime(x) else 0)
+    assert pi_sweep(0).tolist() == [0] and pi_sweep(2).tolist() == [0, 0, 1]
+
+
+def peak_bytes(call) -> int:
+    """The Python-heap peak (numpy arrays included) of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pi_sweep_rejects_a_sweep_over_the_cap(monkeypatch, sieve_100k):
+    # The sweep is 8 bytes per x, checked before it or a sieve is allocated.
+    monkeypatch.setattr(oracle, "DEFAULT_MEMORY_CAP", 8 * 10**5)
+    assert pi_sweep(10**5 - 1, sieve_100k)[-1] == 9592
+    for sieve in (sieve_100k, None):
+
+        def over_the_cap():
+            with pytest.raises(ValueError, match="over the cap"):
+                pi_sweep(10**5, sieve)
+
+        assert peak_bytes(over_the_cap) < 10_000
+
+
+def test_oracle_footprint_at_a_million():
+    sieve = sieve_primes(10**6)
+    # pi(x) counts the odd flags in place: no dense copy of 10^6 bytes.
+    assert peak_bytes(lambda: oracle_pi(10**6, sieve)) < 10_000
+    # One pair mask of 500,000 bytes plus the ~8,200 twin pairs' larger
+    # members; an unpacked copy of the odd flags would add 500,000 more.
+    xs = np.arange(0, 10**6 + 1, 1000)
+    assert peak_bytes(lambda: pair_counts_at(xs, [2], sieve)) < 750_000
 
 
 def test_pair_sweep_matches_point_counts(sieve_100k):
