@@ -19,14 +19,14 @@ behavior stays reachable through ``literal=True`` so the off-by-one can be
 demonstrated and reported rather than silently hidden.
 
 Every count reads one stream of fixed-point flags S(j) = j for j in
-[1, x], taken segment by segment from :func:`kempner.table.iter_segments`.
-A pair counter carries the last 2n flags from one segment to the next, so
-memory is O(threads * SEGMENT_SIZE + 2n) rather than O(x), and one pass
-serves any number of gaps, each counted once for both readings.  The
-readings differ only in the j = 1 term.  The stream unsets the flag at
-j = 1, as both default readings do (S(1) = 0, or the sum starts at j = 2);
-the literal reading, where S(1) = 1 and the sum starts at j = 1, adds the
-term floor(S(1) S(1+2n) / (1+2n)) once x >= 1 + 2n.  That term is the
+[1, x], taken segment by segment from :func:`kempner.table.iter_segments`
+under FORMULA_CONSISTENT, where S(1) = 0 leaves j = 1 unset as both
+default readings do.  A pair counter carries the last 2n flags from one
+segment to the next, so memory is O(threads * SEGMENT_SIZE + 2n) rather
+than O(x), and one pass serves any number of gaps, each counted once for
+both readings.  The readings differ only in the j = 1 term: the literal
+reading, where S(1) = 1 and the sum starts at j = 1, adds the term
+floor(S(1) S(1+2n) / (1+2n)) once x >= 1 + 2n.  That term is the
 fixed-point flag at 1 + 2n, read from the same stream (1 for gap 0, as
 S(1) = 1 is a fixed point).  All arithmetic is exact integers.
 """
@@ -155,13 +155,11 @@ class _Tally:
 
 
 def _stream(x: int, tallies: list[_Tally], threads: int) -> None:
-    """Feed every tally the fixed-point flags of j in [1, x], j = 1 unset, from one pass over S."""
+    """Feed every tally the fixed-point flags of j in [1, x], S(1) = 0 unset, from one pass over S."""
     if x < 1:
         return
-    for a, values in iter_segments(1, x, threads=threads):
+    for a, values in iter_segments(1, x, Convention.FORMULA_CONSISTENT, threads=threads):
         flags = values == np.arange(a, a + values.size, dtype=values.dtype)
-        if a == 1:
-            flags[0] = False
         for tally in tallies:
             tally.feed(a, flags)
 
@@ -169,9 +167,9 @@ def _stream(x: int, tallies: list[_Tally], threads: int) -> None:
 def _count(x: int, gap: int, literal: bool, start: int, oracle, threads: int) -> CountReport:
     """The count at one x (gap 0 counts primes), read from :func:`sample_counts`."""
     started = perf_counter()
-    counts = sample_counts(np.array([x]), [gap], (literal,), threads=threads)
+    counts = sample_counts(np.array([x]), [gap], threads=threads)
     return CountReport(
-        formula_count=int(counts[0, 0, 0]),
+        formula_count=int(counts[int(literal), 0, 0]),
         oracle_count=oracle() if oracle else None,
         correction_applied=-int(x >= _COMPOSITE_HITS.get(gap, x + 1)),
         terms_evaluated=max(0, x - gap - start + 1),
@@ -266,22 +264,16 @@ def trace_terms(
     return rows
 
 
-def sample_counts(
-    xs: np.ndarray,
-    gaps: list[int],
-    literal: tuple[bool, ...] = (False, True),
-    *,
-    threads: int = 1,
-) -> np.ndarray:
-    """Counts at ascending sample points for several gaps and readings, from one pass over S.
+def sample_counts(xs: np.ndarray, gaps: list[int], *, threads: int = 1) -> np.ndarray:
+    """Counts at ascending sample points for several gaps and both readings, from one pass over S.
 
     ``counts[r, k, i]`` is the count at x = xs[i] of gap 2n = gaps[k] pairs
-    under reading literal[r], as :func:`count_pairs` gives it with
-    ``literal=literal[r]``; gap 0 counts primes as :func:`count_primes` does.
-    One tally per gap serves every reading: the literal count is the
-    default count plus the j = 1 term, the flag at 1 + 2n read from the
-    stream, from x = 1 + 2n on.  ``xs = np.arange(x + 1)`` gives every count
-    up to x.
+    as :func:`count_pairs` gives it with ``literal=bool(r)``: row 0 is the
+    default reading and row 1 the literal one.  Gap 0 counts primes as
+    :func:`count_primes` does.  One tally per gap serves both readings: the
+    literal count is the default count plus the j = 1 term, the flag at
+    1 + 2n read from the stream, from x = 1 + 2n on.  ``xs = np.arange(x + 1)``
+    gives every count up to x.
     """
     xs = np.asarray(xs, dtype=np.int64)
     if xs.size and (xs[0] < 0 or (np.diff(xs) < 0).any()):
@@ -291,12 +283,10 @@ def sample_counts(
     # does and carries no more than top flags; its term lies past top.
     tallies = [_Tally(min(gap, top), xs) for gap in gaps]
     _stream(top, tallies, threads)
-    counts = np.empty((len(literal), len(gaps), xs.size), dtype=np.int64)
+    counts = np.empty((2, len(gaps), xs.size), dtype=np.int64)
     for k, (gap, tally) in enumerate(zip(gaps, tallies)):
-        for r, one in enumerate(literal):
-            counts[r, k] = tally.counts
-            if one and tally.term:
-                counts[r, k] += xs >= 1 + tally.gap
+        counts[:, k] = tally.counts
+        counts[1, k] += tally.term * (xs >= 1 + tally.gap)
         if gap in _COMPOSITE_HITS:
             counts[:, k] -= xs >= _COMPOSITE_HITS[gap]
     return counts

@@ -3,7 +3,9 @@
 A classic segmented, odd-only sieve of Eratosthenes (Bays & Hudson, BIT 17,
 1977): one bool flag per odd number, marked segment by segment in place.
 Nothing here shares a code path with the kernels under test; only the
-integer argument checks come from core.
+integer argument checks come from core.  :func:`oracle_pi` and
+:func:`oracle_pair_count` count at one x; :func:`pair_counts_at` counts
+primes (gap 0) and prime pairs at many x from one sieve.
 """
 
 from __future__ import annotations
@@ -21,12 +23,11 @@ __all__ = [
     "oracle_pair_count",
     "oracle_pi",
     "pair_counts_at",
-    "pi_sweep",
     "sieve_primes",
 ]
 
-# Bytes a sieve and a count to a limit may take (see check_limit), and the
-# bytes of a pi_sweep.  2^32 covers sieves to limits near 2.08e9.
+# Bytes a sieve and a count to a limit may take (see check_limit).  2^32
+# covers sieves to limits near 2.08e9.
 DEFAULT_MEMORY_CAP = 1 << 32
 
 # Odd numbers per sieve segment; the flags do not depend on it (tests patch it).
@@ -75,7 +76,8 @@ def check_limit(limit: int) -> None:
     The charge is ceil(n_odd / 8) + 2 (limit + 1) bytes, n_odd = (limit + 1) // 2.
     It covers the sieve's odd flags (n_odd bytes) plus what a count adds on
     top: the dense flags of :meth:`PrimeSieve.flags` (one byte per n), or a
-    pair mask (one byte per odd n) and the larger members of its pairs.
+    pair mask (one byte per odd n) and the larger members of its pairs (for
+    gap 0 no mask, and the primes themselves).
     Under the default cap it admits limits up to 2,082,408,384.
     """
     need = ((limit + 1) // 2 + 7) // 8 + 2 * (limit + 1)
@@ -121,27 +123,6 @@ def oracle_pi(x: int, sieve: PrimeSieve | None = None) -> int:
     return int(np.count_nonzero(sieve.odd_flags(x))) + (x >= 2)
 
 
-def pi_sweep(max_x: int, sieve: PrimeSieve | None = None) -> np.ndarray:
-    """pi(x) for every x in [0, max_x], as one int64 array summed in place.
-
-    Raises ValueError, before any allocation, when its 8 bytes per x pass
-    DEFAULT_MEMORY_CAP.
-    """
-    max_x = _as_u64(max_x, "max_x")
-    need = 8 * (max_x + 1)
-    if need > DEFAULT_MEMORY_CAP:
-        raise ValueError(
-            f"pi_sweep to {max_x} needs {need} bytes, over the cap of {DEFAULT_MEMORY_CAP}"
-        )
-    if sieve is None:
-        sieve = sieve_primes(max_x)
-    pi = np.zeros(max_x + 1, dtype=np.int64)
-    pi[1::2] = sieve.odd_flags(max_x)
-    if max_x >= 2:
-        pi[2] = 1
-    return np.cumsum(pi, out=pi)
-
-
 def oracle_pair_count(x: int, half_gap: int, sieve: PrimeSieve | None = None) -> int:
     """Number of prime pairs (p, p + 2n) with p + 2n <= x, by sieve scan."""
     x = _as_u64(x, "x")
@@ -152,17 +133,20 @@ def oracle_pair_count(x: int, half_gap: int, sieve: PrimeSieve | None = None) ->
 def pair_counts_at(
     xs: np.ndarray, gaps: list[int], sieve: PrimeSieve | None = None
 ) -> np.ndarray:
-    """Pair counts at sampled x: ``counts[k, i]`` counts the prime pairs
-    (p, p + gaps[k]) with p + gaps[k] <= xs[i].
+    """Prime and pair counts at sampled x: ``counts[k, i]`` counts the prime
+    pairs (p, p + gaps[k]) with p + gaps[k] <= xs[i], and for gap 0 the
+    primes p <= xs[i], i.e. pi(xs[i]).
 
     Both members of a pair are odd, as the gap is even, so each gap costs
     one scan of the odd-only flags up to max(xs), odd k and k + gap/2 for
-    the pair (2k + 1, 2(k + gap/2) + 1), and one binary search per sampled x.  The
-    xs and gaps are checked, below 2^63, before the sieve is built.
+    the pair (2k + 1, 2(k + gap/2) + 1), and one binary search per sampled x.
+    Gap 0 scans the flags in place, with no pair mask, and adds the prime 2
+    from x = 2 on.  The xs and gaps are checked, below 2^63, before the
+    sieve is built.
     """
     xs = np.asarray(xs)
     max_x = _as_i64(int(xs.max()) if xs.size else 0, "max(xs)")
-    gaps = [_as_i64(gap, "gap", minimum=2) for gap in gaps]
+    gaps = [_as_i64(gap, "gap") for gap in gaps]
     for gap in gaps:
         if gap % 2:
             raise ValueError(f"gap must be even (got {gap})")
@@ -173,6 +157,8 @@ def pair_counts_at(
     counts = np.empty((len(gaps), xs.size), dtype=np.int64)
     for k, gap in enumerate(gaps):
         h = gap // 2
-        larger = 2 * (np.flatnonzero(odd[:-h] & odd[h:]) + h) + 1
+        larger = 2 * (np.flatnonzero(odd[:-h] & odd[h:] if h else odd) + h) + 1
         counts[k] = np.searchsorted(larger, xs, side="right")
+        if not h:
+            counts[k] += xs >= 2
     return counts

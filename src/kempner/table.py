@@ -133,6 +133,35 @@ class CacheFormatError(ValueError):
     """An S-table cache blob failed structural or checksum validation."""
 
 
+def _check_header(head, size: int) -> tuple[int, int, Convention]:
+    """Check the header ``head`` of a cache blob of ``size`` bytes, and that
+    size against the range it gives; returns (lo, hi, conv).
+
+    Raises CacheFormatError on any defect but the checksum, which needs the
+    whole blob.
+    """
+    if size < _HEADER.size + _CHECKSUM_SIZE or len(head) < _HEADER.size:
+        raise CacheFormatError(f"blob too short ({size} bytes)")
+    magic, version, lo, hi, conv_code = _HEADER.unpack_from(head, 0)
+    if magic == b"SKT1":
+        raise CacheFormatError(
+            "SKT1 is an older cache format; regenerate the file with "
+            "`kempner table --format cache`"
+        )
+    if magic != _MAGIC:
+        raise CacheFormatError(f"bad magic {magic!r}")
+    if version != _VERSION:
+        raise CacheFormatError(f"unsupported version {version}")
+    if conv_code not in _CONV_FROM_CODE:
+        raise CacheFormatError(f"unknown convention byte {conv_code}")
+    if lo < 1 or hi < lo:
+        raise CacheFormatError(f"bad range [{lo}, {hi}]")
+    expected = _HEADER.size + 8 * (hi - lo + 1) + _CHECKSUM_SIZE
+    if size != expected:
+        raise CacheFormatError(f"length {size} != expected {expected}")
+    return lo, hi, _CONV_FROM_CODE[conv_code]
+
+
 @dataclass
 class STable:
     """Contiguous cache of S(j) for j in [lo, hi] under a fixed convention."""
@@ -172,32 +201,13 @@ class STable:
         The values are a view of a writable blob such as a ``bytearray``
         (which the table then keeps alive) and a copy of a read-only one.
         """
-        if len(blob) < _HEADER.size + _CHECKSUM_SIZE:
-            raise CacheFormatError(f"blob too short ({len(blob)} bytes)")
-        magic, version, lo, hi, conv_code = _HEADER.unpack_from(blob, 0)
-        if magic == b"SKT1":
-            raise CacheFormatError(
-                "SKT1 is an older cache format; regenerate the file with "
-                "`kempner table --format cache`"
-            )
-        if magic != _MAGIC:
-            raise CacheFormatError(f"bad magic {magic!r}")
-        if version != _VERSION:
-            raise CacheFormatError(f"unsupported version {version}")
-        if conv_code not in _CONV_FROM_CODE:
-            raise CacheFormatError(f"unknown convention byte {conv_code}")
-        if lo < 1 or hi < lo:
-            raise CacheFormatError(f"bad range [{lo}, {hi}]")
-        count = hi - lo + 1
-        expected = _HEADER.size + 8 * count + _CHECKSUM_SIZE
-        if len(blob) != expected:
-            raise CacheFormatError(f"length {len(blob)} != expected {expected}")
+        lo, hi, conv = _check_header(blob, len(blob))
         if _digest(memoryview(blob)[:-_CHECKSUM_SIZE]).digest() != blob[-_CHECKSUM_SIZE:]:
             raise CacheFormatError("checksum mismatch")
-        values = np.frombuffer(blob, dtype="<u8", count=count, offset=_HEADER.size)
+        values = np.frombuffer(blob, dtype="<u8", count=hi - lo + 1, offset=_HEADER.size)
         if not values.flags.writeable:
             values = values.copy()
-        return cls(lo, hi, _CONV_FROM_CODE[conv_code], values)
+        return cls(lo, hi, conv, values)
 
     def save(self, path) -> None:
         """Write the cache file atomically with :func:`write_cache`, the values
@@ -206,9 +216,16 @@ class STable:
 
     @classmethod
     def load(cls, path) -> "STable":
-        """Read and validate a cache file into one buffer, which the values then view."""
+        """Read and validate a cache file into one buffer, which the values then view.
+
+        The header and the file size are checked before the buffer is made,
+        so a file that is no cache fails in bounded memory.
+        """
         with open(path, "rb") as fh:
-            blob = bytearray(os.fstat(fh.fileno()).st_size)
+            size = os.fstat(fh.fileno()).st_size
+            _check_header(fh.read(_HEADER.size), size)
+            fh.seek(0)
+            blob = bytearray(size)
             del blob[fh.readinto(blob) :]  # a file cut short while read leaves no zeros
         return cls.from_bytes(blob)
 

@@ -20,7 +20,7 @@ from kempner.census import (
     trace_terms,
 )
 from kempner.core import Convention, is_prime, s
-from kempner.oracle import pair_counts_at, pi_sweep
+from kempner.oracle import pair_counts_at
 from kempner.table import s_range
 
 PAPER = Convention.PAPER_LITERAL
@@ -172,8 +172,8 @@ def test_count_primes_examples():
 
 def test_count_primes_verify_and_sweep(sieve_100k):
     assert count_primes(3000, verify=True).matches is True
-    sweep = sample_counts(np.arange(3001), [0], (False,))[0, 0]
-    truth = pi_sweep(3000, sieve_100k)
+    sweep = sample_counts(np.arange(3001), [0])[0, 0]
+    truth = pair_counts_at(np.arange(3001), [0], sieve_100k)[0]
     assert (sweep == truth).all()
 
 
@@ -224,21 +224,21 @@ def test_trace_sum_reproduces_count():
 
 
 def test_twin_sweep_matches_point_function():
-    sweep = sample_counts(np.arange(2001), [2], (False,))[0, 0]
+    sweep = sample_counts(np.arange(2001), [2])[0, 0]
     rng = random.Random(5)
     for x in [0, 1, 2, 3, 4, 5] + [rng.randrange(2000) for _ in range(40)]:
         assert sweep[x] == count_twin(x).formula_count, x
 
 
 def test_pair_sweep_matches_point_function():
-    sweep = sample_counts(np.arange(2001), [6], (False,))[0, 0]
+    sweep = sample_counts(np.arange(2001), [6])[0, 0]
     rng = random.Random(6)
     for x in [0, 6, 7, 8] + [rng.randrange(2000) for _ in range(40)]:
         assert sweep[x] == count_pairs(PairCountQuery(x, 3)).formula_count, x
 
 
 def test_prime_sweep_matches_point_function():
-    sweep = sample_counts(np.arange(1501), [0], (False,))[0, 0]
+    sweep = sample_counts(np.arange(1501), [0])[0, 0]
     for x in (0, 1, 2, 3, 4, 5, 700, 1500):
         assert sweep[x] == count_primes(x).formula_count, x
 
@@ -246,7 +246,7 @@ def test_prime_sweep_matches_point_function():
 def test_twin_monotone_with_exact_increments(sieve_100k):
     # Increment at x iff (x-2, x) is a twin pair: the larger-member reading.
     limit = 10_000
-    sweep = sample_counts(np.arange(limit + 1), [2], (False,))[0, 0]
+    sweep = sample_counts(np.arange(limit + 1), [2])[0, 0]
     flags = sieve_100k.flags(limit)
     diffs = np.diff(sweep)
     assert (diffs >= 0).all()
@@ -257,7 +257,7 @@ def test_twin_monotone_with_exact_increments(sieve_100k):
 
 def test_sweeps_match_oracle(sieve_100k):
     for half_gap in (1, 2, 5):
-        formula = sample_counts(np.arange(4001), [2 * half_gap], (False,))[0, 0]
+        formula = sample_counts(np.arange(4001), [2 * half_gap])[0, 0]
         truth = pair_counts_at(np.arange(4001), [2 * half_gap], sieve_100k)[0]
         assert (formula == truth).all()
 
@@ -274,15 +274,15 @@ def test_sweeps_match_oracle(sieve_100k):
 )
 def test_published_prime_and_twin_counts(x, pi, twins):
     # 10^k - 1 is never prime, so "p <= x" and "p + 2 <= x" count the same pairs.
-    counts = sample_counts(np.array([x]), [0, 2], (False,))
-    assert counts.ravel().tolist() == [pi, twins]
+    counts = sample_counts(np.array([x]), [0, 2])
+    assert counts[0].ravel().tolist() == [pi, twins]
 
 
 # --- the uncorrected sum-from-1 reading ---------------------------------------
 
 
 def test_literal_twin_overcounts_by_one_from_three(sieve_100k):
-    literal = sample_counts(np.arange(2001), [2], (True,))[0, 0]
+    literal = sample_counts(np.arange(2001), [2])[1, 0]
     truth = pair_counts_at(np.arange(2001), [2], sieve_100k)[0]
     delta = literal - truth
     assert (delta[:3] == 0).all()
@@ -291,7 +291,7 @@ def test_literal_twin_overcounts_by_one_from_three(sieve_100k):
 
 def test_literal_pairs_overcount_iff_gap_plus_one_prime(sieve_100k):
     for half_gap in range(2, 11):
-        literal = sample_counts(np.arange(2001), [2 * half_gap], (True,))[0, 0]
+        literal = sample_counts(np.arange(2001), [2 * half_gap])[1, 0]
         truth = pair_counts_at(np.arange(2001), [2 * half_gap], sieve_100k)[0]
         delta = literal - truth
         threshold = 2 * half_gap + 1
@@ -325,7 +325,7 @@ def test_literal_counts_are_the_plain_sum_from_one(case):
     top = int(xs[-1])
     values = [0] + s_range(1, top, PAPER).values.tolist() if top else [0]
     with patch.object(table, "SEGMENT_SIZE", segment_size):
-        got = sample_counts(xs, gaps, (True,), threads=threads)[0]
+        got = sample_counts(xs, gaps, threads=threads)[1]
     for k, gap in enumerate(gaps):
         for i, x in enumerate(xs.tolist()):
             if gap:
@@ -351,7 +351,7 @@ def test_one_tally_per_gap_serves_both_readings(monkeypatch):
 
 
 def test_literal_point_count_matches_sweep():
-    literal_sweep = sample_counts(np.arange(301), [2], (True,))[0, 0]
+    literal_sweep = sample_counts(np.arange(301), [2])[1, 0]
     for x in (2, 3, 4, 5, 17, 300):
         assert count_twin(x, literal=True).formula_count == literal_sweep[x]
 
@@ -367,8 +367,8 @@ def test_sample_points_must_ascend_from_zero():
     # Unsorted points would read counts from the wrong segments.
     for xs in ([100, 50], [-5, 100]):
         with pytest.raises(ValueError):
-            sample_counts(np.array(xs), [2], (False,))
-    assert sample_counts(np.array([50, 50, 100]), [2], (False,)).ravel().tolist() == [6, 6, 8]
+            sample_counts(np.array(xs), [2])
+    assert sample_counts(np.array([50, 50, 100]), [2])[0].ravel().tolist() == [6, 6, 8]
 
 
 def test_gaps_past_x_count_zero_without_holding_gap_flags():
@@ -376,7 +376,7 @@ def test_gaps_past_x_count_zero_without_holding_gap_flags():
     xs = np.arange(101)
     tracemalloc.start()
     try:
-        counts = sample_counts(xs, [4, 10**12], (False, True))
+        counts = sample_counts(xs, [4, 10**12])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -434,8 +434,8 @@ def test_counts_do_not_depend_on_segment_size_or_threads(case, conv, literal):
             (pairs.formula_count, pairs.terms_evaluated),
             count_twin(x, conv, literal=literal, threads=threads).formula_count,
             count_primes(x, conv, threads=threads).formula_count,
-            sample_counts(xs, [2 * half_gap], (literal,), threads=threads)[0, 0],
-            sample_counts(xs, [0], (False,), threads=threads)[0, 0],
+            sample_counts(xs, [2 * half_gap], threads=threads)[int(literal), 0],
+            sample_counts(xs, [0], threads=threads)[0, 0],
         )
 
     want = counts(1)

@@ -347,7 +347,7 @@ def test_verify_numbers_reproducible_from_library(runner):
     result = invoke(runner, "verify", "--max-x", "400", "--gaps", "6")
     lines = result.output.splitlines()
     sieve = oracle.sieve_primes(400)
-    literal = census.sample_counts(np.arange(401), [6], (True,))[0, 0]
+    literal = census.sample_counts(np.arange(401), [6])[1, 0]
     truth = oracle.pair_counts_at(np.arange(401), [6], sieve)[0]
     gap, x_from, x_to, delta = map(int, lines[lines.index("literal_gap,x_from,x_to,delta") + 1].split(","))
     for x in (x_from, (x_from + x_to) // 2, x_to):

@@ -13,7 +13,6 @@ from kempner.oracle import (
     oracle_pair_count,
     oracle_pi,
     pair_counts_at,
-    pi_sweep,
     sieve_primes,
 )
 
@@ -127,10 +126,27 @@ def test_oracle_pi_regression_million():
 
 
 def test_pi_increments_track_primality(sieve_100k):
-    sweep = pi_sweep(3000, sieve_100k)
-    for x in range(1, 3001):
-        assert sweep[x] - sweep[x - 1] == (1 if is_prime(x) else 0)
-    assert pi_sweep(0).tolist() == [0] and pi_sweep(2).tolist() == [0, 0, 1]
+    for sieve in (sieve_100k, None):
+        sweep = pair_counts_at(np.arange(3001), [0], sieve)[0]
+        for x in range(1, 3001):
+            assert sweep[x] - sweep[x - 1] == (1 if is_prime(x) else 0)
+        assert pair_counts_at(np.arange(1), [0], sieve).tolist() == [[0]]
+        assert pair_counts_at(np.arange(3), [0], sieve).tolist() == [[0, 0, 1]]
+
+
+def test_gap_zero_counts_primes_as_oracle_pi(sieve_100k):
+    xs = np.arange(3001)
+    pi = [oracle_pi(x, sieve_100k) for x in range(3001)]
+    assert pair_counts_at(xs, [0], sieve_100k)[0].tolist() == pi
+    # Beside pair gaps in one call, at duplicate and unordered xs, and below 2.
+    xs = np.array([1000, 2, 2, 0, 1, 3000, 1000])
+    counts = pair_counts_at(xs, [2, 0, 998, 0])
+    assert counts[1].tolist() == counts[3].tolist() == [168, 1, 1, 0, 0, 430, 168]
+    for row, gap in zip(counts[[0, 2]], (2, 998)):
+        assert row.tolist() == [oracle_pair_count(int(x), gap // 2, sieve_100k) for x in xs]
+    for max_x in (0, 1):
+        assert pair_counts_at(np.arange(max_x + 1), [0]).tolist() == [[0] * (max_x + 1)]
+    assert pair_counts_at(np.array([], dtype=np.int64), [0, 2], sieve_100k).shape == (2, 0)
 
 
 def peak_bytes(call) -> int:
@@ -141,19 +157,6 @@ def peak_bytes(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def test_pi_sweep_rejects_a_sweep_over_the_cap(monkeypatch, sieve_100k):
-    # The sweep is 8 bytes per x, checked before it or a sieve is allocated.
-    monkeypatch.setattr(oracle, "DEFAULT_MEMORY_CAP", 8 * 10**5)
-    assert pi_sweep(10**5 - 1, sieve_100k)[-1] == 9592
-    for sieve in (sieve_100k, None):
-
-        def over_the_cap():
-            with pytest.raises(ValueError, match="over the cap"):
-                pi_sweep(10**5, sieve)
-
-        assert peak_bytes(over_the_cap) < 10_000
 
 
 def test_oracle_footprint_at_a_million():
@@ -203,7 +206,7 @@ def test_pair_counts_at_edge_sizes(sieve_100k):
 
 
 def test_pair_counts_at_rejects_odd_or_small_gaps(sieve_100k):
-    for gap in (0, 1, 3):
+    for gap in (-2, 1, 3):
         with pytest.raises(ValueError):
             pair_counts_at(np.array([100]), [gap], sieve_100k)
 

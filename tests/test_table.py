@@ -443,6 +443,23 @@ def test_load_holds_one_copy(tmp_path):
     assert back.at(1) == 7
 
 
+@pytest.mark.parametrize("bad", ["magic", "length"])
+def test_load_checks_the_header_before_reading_the_file(tmp_path, bad):
+    # A sparse 256 MiB file: no cache at all, or a valid header of 10 entries.
+    head = b"JUNK" if bad == "magic" else table._HEADER.pack(table._MAGIC, table._VERSION, 1, 10, 0)
+    path = tmp_path / "big.skt"
+    path.write_bytes(head)
+    os.truncate(path, 256 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CacheFormatError, match=bad):
+            STable.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_from_bytes_copies_a_read_only_blob():
     blob = s_range(1, 50).to_bytes()
     tab = STable.from_bytes(blob)
