@@ -93,7 +93,6 @@ class CountReport:
     formula_count: int
     oracle_count: int | None = None
     correction_applied: int = 0
-    terms_evaluated: int = 0
     elapsed: float = 0.0
 
     @property
@@ -164,7 +163,7 @@ def _stream(x: int, tallies: list[_Tally], threads: int) -> None:
             tally.feed(a, flags)
 
 
-def _count(x: int, gap: int, literal: bool, start: int, oracle, threads: int) -> CountReport:
+def _count(x: int, gap: int, literal: bool, oracle, threads: int) -> CountReport:
     """The count at one x (gap 0 counts primes), read from :func:`sample_counts`."""
     started = perf_counter()
     counts = sample_counts(np.array([x]), [gap], threads=threads)
@@ -172,7 +171,6 @@ def _count(x: int, gap: int, literal: bool, start: int, oracle, threads: int) ->
         formula_count=int(counts[int(literal), 0, 0]),
         oracle_count=oracle() if oracle else None,
         correction_applied=-int(x >= _COMPOSITE_HITS.get(gap, x + 1)),
-        terms_evaluated=max(0, x - gap - start + 1),
         elapsed=perf_counter() - started,
     )
 
@@ -212,8 +210,7 @@ def count_pairs(
     2n + 1 is prime; that mode exists to be reported, not corrected.
     """
     oracle = (lambda: oracle_pair_count(query.x, query.half_gap)) if verify else None
-    start = 1 if literal else query.conv.sum_start
-    return _count(query.x, query.gap, literal, start, oracle, threads)
+    return _count(query.x, query.gap, literal, oracle, threads)
 
 
 def count_primes(
@@ -233,7 +230,7 @@ def count_primes(
     x = _as_i64(x, "x")
     _check_convention(conv)
     oracle = (lambda: oracle_pi(x)) if verify else None
-    return _count(x, 0, False, 2, oracle, threads)
+    return _count(x, 0, False, oracle, threads)
 
 
 def trace_terms(

@@ -68,15 +68,6 @@ def _exit_io(what: str, exc: OSError) -> None:
     sys.exit(_EXIT_IO)
 
 
-def _check_cap(x: int, verify: bool, name: str = "x") -> None:
-    """Reject, before any work, an x to verify whose oracle would pass its memory cap."""
-    if verify:
-        try:
-            oracle.check_limit(x)
-        except ValueError as exc:
-            raise click.BadParameter(str(exc), param_hint=name)
-
-
 def _gaps(ctx, param, value) -> list[int]:
     """Comma-separated pair gaps (``pairs --gap`` arrives as one int), each even and >= 2."""
     try:
@@ -137,7 +128,6 @@ def cmd_s(n: int, convention: str) -> None:
 @_threads_option
 def twins(x: int, verify: bool, window: tuple[int, int] | None, threads: int) -> None:
     """Count twin prime pairs (p, p+2) with p+2 <= X."""
-    _check_cap(x, verify)
     if window is not None and window[1] > x - 2:
         raise click.BadParameter(f"window must lie within [1, {x - 2}]", param_hint="--trace")
     report = census.count_twin(x, verify=verify, threads=threads)
@@ -155,7 +145,6 @@ def twins(x: int, verify: bool, window: tuple[int, int] | None, threads: int) ->
 @_threads_option
 def pairs(x: int, gaps: list[int], verify: bool, threads: int) -> None:
     """Count prime pairs (p, p+GAP) with p+GAP <= X."""
-    _check_cap(x, verify)
     (gap,) = gaps
     report = census.count_pairs(census.PairCountQuery(x, gap // 2), verify=verify, threads=threads)
     _echo_count("x,gap,count", (x, gap), report, verify)
@@ -167,7 +156,6 @@ def pairs(x: int, gaps: list[int], verify: bool, threads: int) -> None:
 @_threads_option
 def cmd_pi(x: int, verify: bool, threads: int) -> None:
     """Count primes <= X via the S-indicator sum."""
-    _check_cap(x, verify)
     report = census.count_primes(x, verify=verify, threads=threads)
     _echo_count("x,pi", (x,), report, verify)
 
@@ -230,7 +218,6 @@ def verify(max_x: int, gap_list: list[int], step: int, threads: int) -> None:
     and reports (without failing) the x where it departs from the sieve;
     runs of consecutive sampled x with one delta compress to a single row.
     """
-    _check_cap(max_x, True, "--max-x")
     grid = range(2, max_x + 1, step)
     add_max_x = bool(grid) and grid[-1] != max_x
     if len(grid) + add_max_x > MAX_VERIFY_POINTS:

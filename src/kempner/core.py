@@ -79,11 +79,6 @@ class Convention(Enum):
     def s_of_one(self) -> int:
         return 1 if self is Convention.PAPER_LITERAL else 0
 
-    @property
-    def sum_start(self) -> int:
-        """Lower summation index for the counting formulas (derived)."""
-        return 2 if self is Convention.PAPER_LITERAL else 1
-
 
 def _check_convention(conv) -> None:
     """Reject a conv that is not a Convention member (a string such as "paper" included)."""
@@ -154,11 +149,6 @@ class Factorization:
         for p, a in self.factors:
             n *= p**a
         return n
-
-    def divides_factorial(self, m: int) -> bool:
-        """Whether value() divides m!, decided prime by prime via Legendre
-        valuations.  m! itself is never materialized."""
-        return all(legendre_valuation(m, p) >= a for p, a in self.factors)
 
     def __iter__(self):
         return iter(self.factors)

@@ -1,11 +1,10 @@
 """Independent ground truth for the prime and prime-pair counts.
 
 A classic segmented, odd-only sieve of Eratosthenes (Bays & Hudson, BIT 17,
-1977): one bool flag per odd number, marked segment by segment in place.
-Nothing here shares a code path with the kernels under test; only the
-integer argument checks come from core.  :func:`oracle_pi` and
-:func:`oracle_pair_count` count at one x; :func:`pair_counts_at` counts
-primes (gap 0) and prime pairs at many x from one sieve.
+1977): one bool flag per odd number, marked segment by segment in one reused
+buffer.  Every count streams the segments; only :func:`sieve_primes` keeps
+them all, under a memory cap.  Nothing here shares a code path with the
+kernels under test; only the integer argument checks come from core.
 """
 
 from __future__ import annotations
@@ -26,11 +25,11 @@ __all__ = [
     "sieve_primes",
 ]
 
-# Bytes a sieve and a count to a limit may take (see check_limit).  2^32
-# covers sieves to limits near 2.08e9.
+# Bytes a sieve_primes sieve may hold, one per odd n (see check_limit).
+# 2^32 covers limits up to 2^33, past the base sieve of any x below 2^63.
 DEFAULT_MEMORY_CAP = 1 << 32
 
-# Odd numbers per sieve segment; the flags do not depend on it (tests patch it).
+# Odd numbers per sieve segment; no flag or count depends on it (tests patch it).
 SEGMENT_SIZE = 1 << 20
 
 
@@ -59,49 +58,36 @@ class PrimeSieve:
             raise ValueError(f"{upto} beyond sieve limit {self.limit}")
         return self.odd[: (upto + 1) // 2]
 
-    def flags(self, upto: int | None = None) -> np.ndarray:
-        """Primality as a dense bool array indexed by n, for n in [0, upto]."""
-        upto = self.limit if upto is None else _as_u64(upto, "upto")
-        odd = self.odd_flags(upto)
-        out = np.zeros(upto + 1, dtype=bool)
-        out[1::2] = odd
-        if upto >= 2:
-            out[2] = True
-        return out
-
 
 def check_limit(limit: int) -> None:
-    """Raise ValueError when sieving and counting to limit would pass DEFAULT_MEMORY_CAP.
-
-    The charge is ceil(n_odd / 8) + 2 (limit + 1) bytes, n_odd = (limit + 1) // 2.
-    It covers the sieve's odd flags (n_odd bytes) plus what a count adds on
-    top: the dense flags of :meth:`PrimeSieve.flags` (one byte per n), or a
-    pair mask (one byte per odd n) and the larger members of its pairs (for
-    gap 0 no mask, and the primes themselves).
-    Under the default cap it admits limits up to 2,082,408,384.
-    """
-    need = ((limit + 1) // 2 + 7) // 8 + 2 * (limit + 1)
+    """Raise ValueError when a sieve to limit, one byte per odd n <= limit,
+    would pass DEFAULT_MEMORY_CAP.  Under the default cap it admits limits
+    up to 8,589,934,592 (2^33)."""
+    need = (limit + 1) // 2
     if need > DEFAULT_MEMORY_CAP:
         raise ValueError(
             f"sieve to {limit} needs {need} bytes of flags, over the cap of {DEFAULT_MEMORY_CAP}"
         )
 
 
-def sieve_primes(limit: int) -> PrimeSieve:
-    """Segmented odd-only sieve of Eratosthenes up to limit, inclusive.
-
-    Rejects limits over the memory cap (see :func:`check_limit`).  The base
-    primes, the odd primes up to isqrt(limit), come from this same sieve;
-    each segment of SEGMENT_SIZE flags is marked in place.
-    """
-    limit = _as_u64(limit, "limit")
-    check_limit(limit)
+def _segments(limit: int, sieve: PrimeSieve | None = None):
+    """Yield ``(k0, seg)`` in order, ``seg[i]`` the primality of the odd number
+    2(k0 + i) + 1 <= limit: views of the sieve's flags, or else one buffer
+    marked anew at each step by the odd primes up to isqrt(limit)."""
+    n_odd = (limit + 1) // 2
+    if sieve is not None:
+        odd = sieve.odd_flags(limit)
+        for k0 in range(0, n_odd, SEGMENT_SIZE):
+            yield k0, odd[k0 : k0 + SEGMENT_SIZE]
+        return
     root = isqrt(limit)
     base = [] if root < 3 else (2 * np.flatnonzero(sieve_primes(root).odd) + 1).tolist()
-    odd = np.ones((limit + 1) // 2, dtype=bool)
-    odd[:1] = False  # the number 1
-    for k0 in range(0, odd.size, SEGMENT_SIZE):
-        seg = odd[k0 : k0 + SEGMENT_SIZE]  # flags of 2k + 1 for k0 <= k < k0 + seg.size
+    buffer = np.empty(min(SEGMENT_SIZE, n_odd), dtype=bool)
+    for k0 in range(0, n_odd, SEGMENT_SIZE):
+        seg = buffer[: min(SEGMENT_SIZE, n_odd - k0)]
+        seg[:] = True
+        if not k0:
+            seg[0] = False  # the number 1
         hi_val = 2 * (k0 + seg.size) - 1
         for p in base:
             start = p * p
@@ -111,16 +97,25 @@ def sieve_primes(limit: int) -> PrimeSieve:
             if first % 2 == 0:
                 first += p
             seg[(first - 1) // 2 - k0 :: p] = False
+        yield k0, seg
+
+
+def sieve_primes(limit: int) -> PrimeSieve:
+    """The odd-only sieve up to limit, inclusive, kept whole for reuse;
+    rejects limits over the memory cap (see :func:`check_limit`)."""
+    limit = _as_u64(limit, "limit")
+    check_limit(limit)
+    odd = np.empty((limit + 1) // 2, dtype=bool)
+    for k0, seg in _segments(limit):
+        odd[k0 : k0 + seg.size] = seg
     odd.flags.writeable = False
     return PrimeSieve(limit, odd)
 
 
 def oracle_pi(x: int, sieve: PrimeSieve | None = None) -> int:
-    """Exact pi(x): the odd primes up to x, counted in place, plus the prime 2."""
+    """Exact pi(x): the odd primes up to x, counted segment by segment, plus the prime 2."""
     x = _as_u64(x, "x")
-    if sieve is None:
-        sieve = sieve_primes(x)
-    return int(np.count_nonzero(sieve.odd_flags(x))) + (x >= 2)
+    return sum(int(np.count_nonzero(seg)) for _, seg in _segments(x, sieve)) + (x >= 2)
 
 
 def oracle_pair_count(x: int, half_gap: int, sieve: PrimeSieve | None = None) -> int:
@@ -133,16 +128,16 @@ def oracle_pair_count(x: int, half_gap: int, sieve: PrimeSieve | None = None) ->
 def pair_counts_at(
     xs: np.ndarray, gaps: list[int], sieve: PrimeSieve | None = None
 ) -> np.ndarray:
-    """Prime and pair counts at sampled x: ``counts[k, i]`` counts the prime
-    pairs (p, p + gaps[k]) with p + gaps[k] <= xs[i], and for gap 0 the
-    primes p <= xs[i], i.e. pi(xs[i]).
+    """Prime and pair counts at sampled x, in any order: ``counts[k, i]``
+    counts the prime pairs (p, p + gaps[k]) with p + gaps[k] <= xs[i], and
+    for gap 0 the primes p <= xs[i], i.e. pi(xs[i]).
 
-    Both members of a pair are odd, as the gap is even, so each gap costs
-    one scan of the odd-only flags up to max(xs), odd k and k + gap/2 for
-    the pair (2k + 1, 2(k + gap/2) + 1), and one binary search per sampled x.
-    Gap 0 scans the flags in place, with no pair mask, and adds the prime 2
-    from x = 2 on.  The xs and gaps are checked, below 2^63, before the
-    sieve is built.
+    Both members of a pair are odd, as the gap is even, so one pass over
+    the streamed segments pairs odd k with k + gap/2, each gap carrying its
+    last gap/2 flags (none when no pair fits under max(xs)) from segment to
+    segment; gap 0 counts the flags and adds the prime 2 from x = 2 on.
+    Memory is O(SEGMENT_SIZE + gaps + pi(sqrt(max(xs)))) besides the xs,
+    which with the gaps are checked, below 2^63, before any sieving.
     """
     xs = np.asarray(xs)
     max_x = _as_i64(int(xs.max()) if xs.size else 0, "max(xs)")
@@ -151,14 +146,28 @@ def pair_counts_at(
         if gap % 2:
             raise ValueError(f"gap must be even (got {gap})")
     xs = xs.astype(np.int64)
-    if sieve is None:
-        sieve = sieve_primes(max_x)
-    odd = sieve.odd_flags(max_x)
-    counts = np.empty((len(gaps), xs.size), dtype=np.int64)
-    for k, gap in enumerate(gaps):
-        h = gap // 2
-        larger = 2 * (np.flatnonzero(odd[:-h] & odd[h:] if h else odd) + h) + 1
-        counts[k] = np.searchsorted(larger, xs, side="right")
-        if not h:
-            counts[k] += xs >= 2
+    order = np.argsort(xs, kind="stable")
+    ks = (xs[order] + 1) // 2  # each sorted x counts the hits at odd index k < ks
+    n_odd = (max_x + 1) // 2
+    tails = {k: np.zeros(gap // 2, dtype=bool) for k, gap in enumerate(gaps) if gap // 2 < n_odd}
+    seen = dict.fromkeys(tails, 0)
+    counts = np.zeros((len(gaps), xs.size), dtype=np.int64)
+    pair = np.empty(min(SEGMENT_SIZE, n_odd), dtype=bool)
+    lo = 0
+    for k0, seg in _segments(max_x, sieve):
+        n = seg.size
+        hi = int(np.searchsorted(ks, k0 + n, side="right"))
+        for k, tail in tails.items():
+            # The pair at each flag ANDs it with the flag h places back: the
+            # carried tail for the first m, the segment itself after them.
+            h, m = tail.size, min(n, tail.size)
+            np.logical_and(tail[:m], seg[:m], out=pair[:m])
+            np.logical_and(seg[: n - m], seg[m:n], out=pair[m:n])
+            tail[: h - m] = tail[m:]
+            tail[h - m :] = seg[n - m :]
+            hits = np.flatnonzero(pair[:n])
+            counts[k, order[lo:hi]] = seen[k] + np.searchsorted(hits, ks[lo:hi] - k0)
+            seen[k] += hits.size
+        lo = hi
+    counts[np.array(gaps, dtype=np.int64) == 0] += xs >= 2
     return counts

@@ -1,7 +1,11 @@
 """CLI surface: exact output bytes, exit codes, determinism."""
 
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -399,23 +403,48 @@ def test_segment_and_thread_values_below_one_are_usage_errors(runner, command, o
         assert f"Invalid value for '{option}'" in result.output
 
 
-@pytest.mark.parametrize("command", [["verify", "--max-x", "5000000000"],
+@pytest.mark.parametrize("command", [["verify", "--max-x", "5000000000", "--step", "5000"],
                                      ["twins", "5000000000", "--verify"],
                                      ["pairs", "5000000000", "--gap", "6", "--verify"],
                                      ["pi", "5000000000", "--verify"],
-                                     # Over the 2^32-byte cap once the 2 bytes per n
-                                     # for a dense copy or a pair mask count.
                                      ["pi", "4000000000", "--verify"],
                                      ["twins", "2082408385", "--verify"]])
-def test_oracle_cap_rejected_before_any_work(runner, monkeypatch, command):
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the oracle cap was checked")
+def test_oracle_streams_past_the_old_cap(runner, monkeypatch, command):
+    # These x were refused while the oracle held its whole sieve; it now
+    # streams one segment at a time.  Both sides are stubbed to count only
+    # the prime 2: the oracle gets no segments, the formula side agrees.
+    def only_two(xs, gaps, threads=1):
+        counts = (np.array(gaps)[:, None] == 0) & (xs >= 2)
+        return np.stack([counts, counts]).astype(np.int64)
 
-    monkeypatch.setattr(table, "_small_primes", no_work)
-    monkeypatch.setattr(census, "iter_segments", no_work)
+    monkeypatch.setattr(census, "sample_counts", only_two)
+    monkeypatch.setattr(oracle, "_segments", lambda limit, sieve=None: iter(()))
     result = runner.invoke(main, command)
-    assert result.exit_code == 2
-    assert "over the cap" in result.output
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines()[-1].endswith((",true", "total_mismatches,0"))
+
+
+@pytest.mark.slow
+def test_verify_past_the_old_cap_in_bounded_memory():
+    # A whole sieve to 3e9 would take 1.4 GiB; the streamed oracle holds a segment.
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    args = [sys.executable, "-m", "kempner", "verify", "--max-x", "3000000000", "--step", "4999"]
+    with subprocess.Popen(args, stdout=subprocess.PIPE, env=env, text=True) as proc:
+        out = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)  # the rusage of this child alone
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert usage.ru_maxrss < 150 * 1024  # KiB
+    points = len(range(2, 3 * 10**9 + 1, 4999)) + 1  # the grid ends below max-x, which is added
+    assert out.splitlines() == [
+        "gap,x_checked,mismatches",
+        f"2,{points},0",
+        "literal_gap,x_from,x_to,delta",
+        "2,5001,3000000000,1",  # 3 = 1 + 2 is prime: the j = 1 term counts from x = 3
+        "total_mismatches,0",
+    ]
 
 
 def test_oversized_verify_grid_rejected_before_any_work(runner, monkeypatch):

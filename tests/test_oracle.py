@@ -1,7 +1,9 @@
 """Sieve oracle: exactness, agreement with the primality kernel, examples."""
 
+import ast
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,11 +20,12 @@ from kempner.oracle import (
 
 
 def test_sieve_examples():
-    assert np.flatnonzero(sieve_primes(10).flags()).tolist() == [2, 3, 5, 7]
+    assert [n for n in range(11) if sieve_primes(10).is_prime(n)] == [2, 3, 5, 7]
     assert oracle_pi(100, sieve_primes(100)) == 25
     empty = sieve_primes(0)
     assert oracle_pi(0, empty) == 0
-    assert empty.flags().tolist() == [False]
+    assert not empty.is_prime(0)
+    assert empty.odd_flags().size == 0
 
 
 def test_flags_match_is_prime_at_every_small_limit():
@@ -30,7 +33,8 @@ def test_flags_match_is_prime_at_every_small_limit():
     # primes from sieves to 3..14.
     for limit in range(201):
         sieve = sieve_primes(limit)
-        assert sieve.flags().tolist() == [is_prime(n) for n in range(limit + 1)], limit
+        numbers = range(limit + 1)
+        assert [sieve.is_prime(n) for n in numbers] == [is_prime(n) for n in numbers], limit
         assert sieve.odd.size == (limit + 1) // 2
 
 
@@ -40,12 +44,11 @@ def test_sieve_flags_are_read_only(sieve_100k):
 
 
 def test_sieve_agrees_with_is_prime_exhaustively(sieve_100k):
-    flags = sieve_100k.flags()
     mine = np.fromiter((is_prime(n) for n in range(10**5 + 1)), dtype=bool)
-    assert (flags == mine).all()
-    assert (sieve_100k.odd_flags() == flags[1::2]).all()
+    assert (sieve_100k.odd_flags() == mine[1::2]).all()
+    assert [sieve_100k.is_prime(n) for n in range(0, 10**5 + 1, 2)] == mine[::2].tolist()
     for upto in (0, 1, 2, 3, 10, 99_999):
-        assert (sieve_100k.odd_flags(upto) == sieve_100k.flags(upto)[1::2]).all()
+        assert (sieve_100k.odd_flags(upto) == mine[1 : upto + 1 : 2]).all()
 
 
 def test_sieve_point_queries_random(sieve_100k):
@@ -56,7 +59,7 @@ def test_sieve_point_queries_random(sieve_100k):
 
 
 def test_sieve_point_query_out_of_range(sieve_100k):
-    for read in (sieve_100k.is_prime, sieve_100k.flags, sieve_100k.odd_flags):
+    for read in (sieve_100k.is_prime, sieve_100k.odd_flags):
         with pytest.raises(ValueError, match="beyond sieve limit"):
             read(10**5 + 1)
     with pytest.raises(ValueError, match="beyond sieve limit"):
@@ -74,27 +77,34 @@ def test_sieve_memory_cap(monkeypatch):
 
 
 def test_check_limit_counts_the_unpacked_flags(monkeypatch):
-    # To 100 the charge is 7 bytes (50 odd n, one bit each) plus 2 bytes per
-    # n: 209 bytes, which cover the 50 odd flags and 101 dense flags.
-    monkeypatch.setattr(oracle, "DEFAULT_MEMORY_CAP", 209)
+    # The charge is what sieve_primes holds, one byte per odd n: 50 to 100.
+    monkeypatch.setattr(oracle, "DEFAULT_MEMORY_CAP", 50)
     check_limit(100)
-    monkeypatch.setattr(oracle, "DEFAULT_MEMORY_CAP", 208)
+    monkeypatch.setattr(oracle, "DEFAULT_MEMORY_CAP", 49)
     with pytest.raises(ValueError, match="over the cap"):
         check_limit(100)
     monkeypatch.undo()
-    # The default cap of 2^32 bytes ends near 2.08e9, not where the odd flags
-    # alone (one byte per odd n) would fill it, near 8.6e9.
-    check_limit(2_082_408_384)
-    for limit in (2_082_408_385, 4_000_000_000):
+    # 2^33 adds no odd n to 2^33 - 1, so the 2^32-byte default cap ends at 2^33.
+    check_limit(8_589_934_591)
+    check_limit(8_589_934_592)
+    for limit in (8_589_934_593, 10**10):
         with pytest.raises(ValueError, match="over the cap"):
             check_limit(limit)
 
 
 def test_segmentation_does_not_change_flags(monkeypatch, sieve_100k):
+    # Segments of 1 and 7 flags are shorter than the carried tails of gaps 30 and 998.
+    xs = np.array([5000, 0, 2, 1999, 7, 4001, 1, 3, 4001])
+    gaps = [0, 2, 30, 998]
+    counts = pair_counts_at(xs, gaps, sieve_100k)
+    pis = [oracle_pi(int(x), sieve_100k) for x in xs]
     for segment_size in (1, 7, 997):
         monkeypatch.setattr(oracle, "SEGMENT_SIZE", segment_size)
         assert (sieve_primes(10**5).odd == sieve_100k.odd).all(), segment_size
-        assert sieve_primes(200).flags().tolist() == [is_prime(n) for n in range(201)]
+        sieve = sieve_primes(200)
+        assert [sieve.is_prime(n) for n in range(201)] == [is_prime(n) for n in range(201)]
+        assert (pair_counts_at(xs, gaps) == counts).all(), segment_size
+        assert [oracle_pi(int(x)) for x in xs] == pis, segment_size
 
 
 def test_oracle_pair_count_examples():
@@ -167,6 +177,37 @@ def test_oracle_footprint_at_a_million():
     # members; an unpacked copy of the odd flags would add 500,000 more.
     xs = np.arange(0, 10**6 + 1, 1000)
     assert peak_bytes(lambda: pair_counts_at(xs, [2], sieve)) < 750_000
+
+
+def test_streamed_counts_hold_one_segment():
+    # A sieve to 8e6 alone is 4 MB; a streamed count holds one 1 MB segment,
+    # its pair mask and the hits of one segment.
+    xs = np.arange(0, 8 * 10**6 + 1, 1000)
+    assert peak_bytes(lambda: pair_counts_at(xs, [0, 2, 6])) < 4_000_000
+
+
+def test_gap_past_max_x_carries_no_tail():
+    # A gap past max(xs) finds no pair and carries none of its 2^62 - 1 flags.
+    assert peak_bytes(lambda: oracle_pair_count(100, 2**62 - 1)) < 100_000
+    assert oracle_pair_count(100, 2**62 - 1) == 0
+
+
+def test_oracle_imports_only_the_argument_checks():
+    # The oracle checks the formula side, so it shares none of its code.
+    ours = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("kempner") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("kempner")):
+            ours |= {(node.module, alias.name) for alias in node.names}
+    assert ours == {("core", "_as_i64"), ("core", "_as_u64")}
+
+
+@pytest.mark.slow
+def test_published_counts_past_the_old_cap():
+    # pi and pi_2 at 10^10 (OEIS A006880, A007508); 10^10 +- 1 are composite,
+    # so "p + 2 <= x" and "p <= x" count the same twins.
+    assert pair_counts_at(np.array([10**10]), [0, 2]).tolist() == [[455_052_511], [27_412_679]]
 
 
 def test_pair_sweep_matches_point_counts(sieve_100k):
