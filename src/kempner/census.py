@@ -12,10 +12,11 @@ that hit once it has actually entered the summation range (x >= 4).
 
 The j = 1 term is the delicate one.  Under the classical S(1) = 1 the term
 floor(S(1) S(1+2n) / (1 + 2n)) is 1 whenever 1 + 2n is prime, wrongly
-counting (1, 1+2n).  Default evaluation therefore either starts at j = 2
-(PAPER_LITERAL convention) or zeroes S(1) (FORMULA_CONSISTENT convention);
-both yield identical, sieve-exact counts.  The uncorrected sum-from-1
-behavior stays reachable through ``literal=True`` so the off-by-one can be
+counting (1, 1+2n).  Either starting the sum at j = 2 (PAPER_LITERAL) or
+zeroing S(1) (FORMULA_CONSISTENT) removes it, and both give the same count,
+so the counts take no convention; :func:`trace_terms` takes one to show
+the S values and terms each gives.  The uncorrected sum-from-1 behavior
+stays reachable through ``literal=True`` so the off-by-one can be
 demonstrated and reported rather than silently hidden.
 
 Every count reads one stream of fixed-point flags S(j) = j for j in
@@ -38,7 +39,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .core import Convention, _as_i64, _as_u64, _check_convention
+from .core import Convention, _as_i64, _as_u64
 from .oracle import oracle_pair_count, oracle_pi
 from .table import iter_segments, s_range
 
@@ -68,13 +69,11 @@ class PairCountQuery:
 
     x: int
     half_gap: int = 1
-    conv: Convention = Convention.FORMULA_CONSISTENT
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", _as_i64(self.x, "x"))
         object.__setattr__(self, "half_gap", _as_u64(self.half_gap, "half_gap", minimum=1))
         _as_i64(self.gap, "gap")
-        _check_convention(self.conv)
 
     @property
     def gap(self) -> int:
@@ -176,12 +175,7 @@ def _count(x: int, gap: int, literal: bool, oracle, threads: int) -> CountReport
 
 
 def count_twin(
-    x: int,
-    conv: Convention = Convention.FORMULA_CONSISTENT,
-    *,
-    verify: bool = False,
-    literal: bool = False,
-    threads: int = 1,
+    x: int, *, verify: bool = False, literal: bool = False, threads: int = 1
 ) -> CountReport:
     """Exact number of twin prime pairs (p, p + 2) with p + 2 <= x.
 
@@ -191,7 +185,7 @@ def count_twin(
     from j = 1 with S(1) = 1, which overcounts by the documented j = 1
     anomaly; counts then exceed the sieve by 1 for every x >= 3.
     """
-    return count_pairs(PairCountQuery(x, 1, conv), verify=verify, literal=literal, threads=threads)
+    return count_pairs(PairCountQuery(x, 1), verify=verify, literal=literal, threads=threads)
 
 
 def count_pairs(
@@ -213,34 +207,31 @@ def count_pairs(
     return _count(query.x, query.gap, literal, oracle, threads)
 
 
-def count_primes(
-    x: int,
-    conv: Convention = Convention.FORMULA_CONSISTENT,
-    *,
-    verify: bool = False,
-    threads: int = 1,
-) -> CountReport:
+def count_primes(x: int, *, verify: bool = False, threads: int = 1) -> CountReport:
     """pi(x) as the sum of floor(S(j)/j) for j in [2, x], minus 1 once x >= 4.
 
     For j >= 2 the summand is the fixed-point indicator, which hits every
     prime plus the lone composite fixed point j = 4; the -1 removes that
-    hit as soon as it is in range.  The convention never affects the result
-    since the sum starts at j = 2.
+    hit as soon as it is in range.  S(1) never enters the result, since
+    the sum starts at j = 2.
     """
     x = _as_i64(x, "x")
-    _check_convention(conv)
     oracle = (lambda: oracle_pi(x)) if verify else None
     return _count(x, 0, False, oracle, threads)
 
 
 def trace_terms(
-    query: PairCountQuery, window: tuple[int, int]
+    query: PairCountQuery,
+    window: tuple[int, int],
+    conv: Convention = Convention.FORMULA_CONSISTENT,
 ) -> list[tuple[int, int, int, int]]:
     """Term-by-term view of the pair summation over a window of j.
 
-    Returns rows (j, S(j), S(j + 2n), term) with the term computed by the
-    literal floored division, so convention anomalies (notably j = 1 under
-    S(1) = 1) are visible rather than masked.
+    Returns rows (j, S(j), S(j + 2n), term) with S(1) set by ``conv`` and
+    the term computed by the literal floored division, so convention
+    anomalies (notably j = 1 under S(1) = 1) are visible rather than
+    masked.  S is computed over the window and over the window shifted by
+    2n only, so memory follows the window, not the gap.
     """
     lo, hi = window
     lo = _as_u64(lo, "window lo", minimum=1)
@@ -252,13 +243,12 @@ def trace_terms(
             f"window must lie within [1, {query.x - query.gap}] for x={query.x}, "
             f"gap={query.gap}"
         )
-    table = s_range(lo, hi + query.gap, query.conv)
-    rows = []
-    for j in range(lo, hi + 1):
-        s_j = table.at(j)
-        s_j2n = table.at(j + query.gap)
-        rows.append((j, s_j, s_j2n, pair_term(j, query.half_gap, s_j, s_j2n)))
-    return rows
+    s_j = s_range(lo, hi, conv).values.tolist()
+    s_j2n = s_range(lo + query.gap, hi + query.gap, conv).values.tolist()
+    return [
+        (j, a, b, pair_term(j, query.half_gap, a, b))
+        for j, a, b in zip(range(lo, hi + 1), s_j, s_j2n)
+    ]
 
 
 def sample_counts(xs: np.ndarray, gaps: list[int], *, threads: int = 1) -> np.ndarray:

@@ -69,7 +69,9 @@ class Convention(Enum):
     :mod:`kempner.census` are only correct when the j = 1 term vanishes.
     PAPER_LITERAL keeps S(1) = 1 and starts those sums at j = 2;
     FORMULA_CONSISTENT sets S(1) = 0 so the sums may harmlessly start at
-    j = 1.  Both yield identical counts everywhere.
+    j = 1.  Both yield identical counts everywhere, so the counts take no
+    convention; it sets S(1) in :func:`s`, the tables and
+    :func:`kempner.census.trace_terms`.
     """
 
     PAPER_LITERAL = "paper"
@@ -143,18 +145,8 @@ class Factorization:
                 raise ValueError(f"{p} is not prime")
             prev = p
 
-    def value(self) -> int:
-        """Reconstruct the factored integer (exact, unbounded arithmetic)."""
-        n = 1
-        for p, a in self.factors:
-            n *= p**a
-        return n
-
     def __iter__(self):
         return iter(self.factors)
-
-    def __len__(self) -> int:
-        return len(self.factors)
 
 
 def _small_primes(limit: int) -> np.ndarray:

@@ -137,10 +137,12 @@ def pair_counts_at(
     last gap/2 flags (none when no pair fits under max(xs)) from segment to
     segment; gap 0 counts the flags and adds the prime 2 from x = 2 on.
     Memory is O(SEGMENT_SIZE + gaps + pi(sqrt(max(xs)))) besides the xs,
-    which with the gaps are checked, below 2^63, before any sieving.
+    which with the gaps are checked to lie in [0, 2^63) before any sieving.
     """
     xs = np.asarray(xs)
     max_x = _as_i64(int(xs.max()) if xs.size else 0, "max(xs)")
+    if xs.size and xs.min() < 0:
+        raise ValueError(f"xs must be >= 0 (got {int(xs.min())})")
     gaps = [_as_i64(gap, "gap") for gap in gaps]
     for gap in gaps:
         if gap % 2:

@@ -98,11 +98,6 @@ def test_count_twin_correction_gate():
         assert count_twin(x).correction_applied == -1
 
 
-def test_count_twin_conventions_agree():
-    for x in (2, 3, 4, 5, 50, 747, 2000):
-        assert count_twin(x, PAPER).formula_count == count_twin(x, FORMULA).formula_count
-
-
 def test_threads_below_one_are_rejected():
     for threads in (0, -2):
         with pytest.raises(ValueError):
@@ -128,12 +123,10 @@ def test_a_conv_that_is_not_a_convention_member_is_rejected():
     for call in (
         lambda: s_range(2, 5, "junk"),
         lambda: s_range(1, 5, "junk"),
-        lambda: count_twin(10, "paper"),
-        lambda: count_primes(10, "junk"),
+        lambda: trace_terms(PairCountQuery(10, 1), (1, 2), "junk"),
     ):
         with pytest.raises(TypeError, match="Convention member"):
             call()
-    assert count_primes(10, PAPER).formula_count == 4
 
 
 def test_count_pairs_delegates_twin_case():
@@ -171,16 +164,11 @@ def test_count_primes_verify_and_sweep(sieve_100k):
     assert (sweep == truth).all()
 
 
-def test_count_primes_convention_free():
-    for x in (0, 1, 4, 100, 999):
-        assert count_primes(x, PAPER).formula_count == count_primes(x, FORMULA).formula_count
-
-
 # --- trace_terms -------------------------------------------------------------
 
 
 def test_trace_literal_rows_expose_j1_anomaly():
-    rows = trace_terms(PairCountQuery(20, 1, PAPER), (1, 4))
+    rows = trace_terms(PairCountQuery(20, 1), (1, 4), PAPER)
     assert rows == [(1, 1, 3, 1), (2, 2, 4, 1), (3, 3, 5, 1), (4, 4, 3, 0)]
 
 
@@ -207,11 +195,35 @@ def test_trace_rejects_bad_windows():
 
 
 def test_trace_sum_reproduces_count():
-    q = PairCountQuery(400, 1, FORMULA)
-    rows = trace_terms(q, (1, 398))
-    total = sum(term for *_, term in rows)
-    report = count_twin(400, FORMULA)
-    assert total + report.correction_applied == report.formula_count
+    # Both conventions give the count without its correction: PAPER_LITERAL
+    # summed from j = 2, FORMULA_CONSISTENT from j = 1.  PAPER_LITERAL summed
+    # from j = 1 gives the literal reading's count.
+    for half_gap in (1, 2, 3):
+        for x in (2 * half_gap + 3, 50, 400, 1001):
+            query = PairCountQuery(x, half_gap)
+            window = (1, x - query.gap)
+            paper = [term for *_, term in trace_terms(query, window, PAPER)]
+            formula = [term for *_, term in trace_terms(query, window)]
+            default = count_pairs(query)
+            literal = count_pairs(query, literal=True)
+            want = default.formula_count - default.correction_applied
+            assert sum(paper[1:]) == sum(formula) == want, (half_gap, x)
+            assert sum(paper) == literal.formula_count - literal.correction_applied, (half_gap, x)
+
+
+def test_trace_memory_follows_the_window_not_the_gap():
+    # S is computed over the window and the window shifted by 2n, not over
+    # everything between them.  The tile is built once per process; build it
+    # first so the peak is the call's own.
+    table._tile()
+    tracemalloc.start()
+    try:
+        rows = trace_terms(PairCountQuery(2 * 10**6 + 10, 10**6), (1, 4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    assert [row[0] for row in rows] == [1, 2, 3, 4]
 
 
 # --- sweeps and cross-checks --------------------------------------------------
@@ -415,19 +427,19 @@ def _stream_settings(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_stream_settings(), st.sampled_from([PAPER, FORMULA]), st.booleans())
-def test_counts_do_not_depend_on_segment_size_or_threads(case, conv, literal):
+@given(_stream_settings(), st.booleans())
+def test_counts_do_not_depend_on_segment_size_or_threads(case, literal):
     # A segment shorter than the gap makes the carried flags span several segments.
     x, half_gap, segment_size, threads = case
-    query = PairCountQuery(x, half_gap, conv)
+    query = PairCountQuery(x, half_gap)
     xs = np.arange(x + 1)
 
     def counts(threads):
         pairs = count_pairs(query, literal=literal, threads=threads)
         return (
             pairs.formula_count,
-            count_twin(x, conv, literal=literal, threads=threads).formula_count,
-            count_primes(x, conv, threads=threads).formula_count,
+            count_twin(x, literal=literal, threads=threads).formula_count,
+            count_primes(x, threads=threads).formula_count,
             sample_counts(xs, [2 * half_gap], threads=threads)[int(literal), 0],
             sample_counts(xs, [0], threads=threads)[0, 0],
         )

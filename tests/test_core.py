@@ -208,7 +208,7 @@ def test_factorize_smooth_times_trial_prime(a, data):
 @given(st.integers(1, U64_MAX))
 def test_factorize_property_u64(n):
     fact = factorize(n)
-    assert fact.value() == n
+    assert math.prod(p**a for p, a in fact) == n
     assert all(is_prime(p) for p, _ in fact)
 
 
@@ -222,7 +222,7 @@ def test_factorize_reconstructs_and_validates():
     for _ in range(300):
         n = rng.randrange(1, 10**12)
         fact = factorize(n)
-        assert fact.value() == n
+        assert math.prod(p**a for p, a in fact) == n
         primes = [p for p, _ in fact]
         assert primes == sorted(set(primes))
         assert all(is_prime(p) for p in primes)
@@ -233,7 +233,7 @@ def test_factorize_is_deterministic():
     # The rho splitter is seeded per cofactor: identical runs, identical output.
     semiprime = 999999937 * 999999893
     assert factorize(semiprime).factors == factorize(semiprime).factors
-    assert factorize(semiprime).value() == semiprime
+    assert math.prod(p**a for p, a in factorize(semiprime)) == semiprime
 
 
 def test_factorization_invariants_enforced():

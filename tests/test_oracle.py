@@ -261,6 +261,9 @@ def test_pair_counts_at_rejects_2_63_before_sieving(monkeypatch):
     for xs, gaps, name in (([2**63], [2], "max\\(xs\\)"), ([100], [2**63], "gap")):
         with pytest.raises(ValueError, match=f"{name} must be below 2\\^63"):
             pair_counts_at(xs, gaps)
+    for xs in ([-5], [-5, 3]):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            pair_counts_at(np.array(xs), [0])
     with pytest.raises(ValueError, match="even"):
         pair_counts_at([100], [2, 7])
     with pytest.raises(ValueError, match="64 bits"):
