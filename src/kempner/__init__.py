@@ -27,7 +27,6 @@ from .core import (
     s_prime_power,
 )
 from .oracle import (
-    PrimeSieve,
     oracle_pair_count,
     oracle_pi,
     sieve_primes,
@@ -42,7 +41,6 @@ __all__ = [
     "CountReport",
     "Factorization",
     "PairCountQuery",
-    "PrimeSieve",
     "STable",
     "U64_MAX",
     "count_pairs",

@@ -262,7 +262,10 @@ def sample_counts(xs: np.ndarray, gaps: list[int], *, threads: int = 1) -> np.nd
     1 + 2n read from the stream, from x = 1 + 2n on.  ``xs = np.arange(x + 1)``
     gives every count up to x.
     """
-    xs = np.asarray(xs, dtype=np.int64)
+    xs = np.asarray(xs)
+    if xs.size and xs.dtype.kind not in "iu":
+        raise TypeError(f"sample points must be integers (got dtype {xs.dtype})")
+    xs = xs.astype(np.int64, copy=False)
     if xs.size and (xs[0] < 0 or (np.diff(xs) < 0).any()):
         raise ValueError("sample points must be ascending and >= 0")
     top = int(xs[-1]) if xs.size else 0

@@ -16,12 +16,7 @@ import numpy as np
 
 from . import census, oracle
 from .core import _I64_MAX, U64_MAX, Convention, s
-from .table import default_cache_dir, iter_segments, write_cache
-
-_CONVENTIONS = {
-    "paper": Convention.PAPER_LITERAL,
-    "formula": Convention.FORMULA_CONSISTENT,
-}
+from .table import iter_segments, write_cache
 
 _EXIT_MISMATCH = 1
 _EXIT_IO = 3
@@ -102,8 +97,9 @@ _threads_option = click.option(
 
 
 def _convention_option(default: str):
-    return click.option("--convention", type=click.Choice(sorted(_CONVENTIONS)), default=default,
-                        show_default=True, help="Value of S(1): paper keeps 1, formula uses 0.")
+    return click.option("--convention", type=click.Choice(sorted(c.value for c in Convention)),
+                        default=default, show_default=True,
+                        help="Value of S(1): paper keeps 1, formula uses 0.")
 
 
 @click.group()
@@ -117,7 +113,7 @@ def main() -> None:
 @_convention_option("paper")
 def cmd_s(n: int, convention: str) -> None:
     """Print S(N)."""
-    _echo_rows("n,s", [(n, s(n, _CONVENTIONS[convention]))])
+    _echo_rows("n,s", [(n, s(n, Convention(convention)))])
 
 
 @main.command()
@@ -173,7 +169,7 @@ def table(lo: int, hi: int, out_path: str | None, fmt: str, convention: str, thr
     """Tabulate S(n) for n in [LO, HI] as CSV or a binary cache file."""
     if hi < lo:
         raise click.BadParameter(f"need LO <= HI, got [{lo}, {hi}]", param_hint="lo/hi")
-    conv = _CONVENTIONS[convention]
+    conv = Convention(convention)
     if fmt == "csv":
         # Opened before any work; each segment is written as soon as it is filled.
         try:
@@ -186,7 +182,7 @@ def table(lo: int, hi: int, out_path: str | None, fmt: str, convention: str, thr
             _exit_io(f"cannot write {'stdout' if out_path is None else out_path}", exc)
         return
     if out_path is None:
-        cache_dir = default_cache_dir()
+        cache_dir = os.environ.get("SKT_CACHE_DIR", ".")
         try:
             os.makedirs(cache_dir, exist_ok=True)
         except OSError as exc:

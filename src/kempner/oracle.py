@@ -3,13 +3,14 @@
 A classic segmented, odd-only sieve of Eratosthenes (Bays & Hudson, BIT 17,
 1977): one bool flag per odd number, marked segment by segment in one reused
 buffer.  Every count streams the segments; only :func:`sieve_primes` keeps
-them all, under a memory cap.  Nothing here shares a code path with the
-kernels under test; only the integer argument checks come from core.
+them all, under a memory cap: a read-only bool array whose entry k is the
+primality of 2k + 1, which every count accepts as its ``sieve``.  Nothing
+here shares a code path with the kernels under test; only the integer
+argument checks come from core.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
@@ -18,7 +19,6 @@ from .core import _as_i64, _as_u64
 
 __all__ = [
     "DEFAULT_MEMORY_CAP",
-    "PrimeSieve",
     "oracle_pair_count",
     "oracle_pi",
     "pair_counts_at",
@@ -33,32 +33,6 @@ DEFAULT_MEMORY_CAP = 1 << 32
 SEGMENT_SIZE = 1 << 20
 
 
-@dataclass
-class PrimeSieve:
-    """Odd-only primality flags for all n <= limit.
-
-    ``odd[k]`` (read-only) flags the odd number 2k + 1; the prime 2 is
-    handled explicitly.
-    """
-
-    limit: int
-    odd: np.ndarray  # bool
-
-    def is_prime(self, n: int) -> bool:
-        """Flag test for 0 <= n <= limit."""
-        n = _as_u64(n, "n")
-        if n > self.limit:
-            raise ValueError(f"{n} beyond sieve limit {self.limit}")
-        return n == 2 or (n % 2 == 1 and bool(self.odd[n // 2]))
-
-    def odd_flags(self, upto: int | None = None) -> np.ndarray:
-        """Primality of the odd numbers 2k + 1 <= upto, as a read-only view indexed by k."""
-        upto = self.limit if upto is None else _as_u64(upto, "upto")
-        if upto > self.limit:
-            raise ValueError(f"{upto} beyond sieve limit {self.limit}")
-        return self.odd[: (upto + 1) // 2]
-
-
 def check_limit(limit: int) -> None:
     """Raise ValueError when a sieve to limit, one byte per odd n <= limit,
     would pass DEFAULT_MEMORY_CAP.  Under the default cap it admits limits
@@ -70,18 +44,20 @@ def check_limit(limit: int) -> None:
         )
 
 
-def _segments(limit: int, sieve: PrimeSieve | None = None):
+def _segments(limit: int, sieve: np.ndarray | None = None):
     """Yield ``(k0, seg)`` in order, ``seg[i]`` the primality of the odd number
-    2(k0 + i) + 1 <= limit: views of the sieve's flags, or else one buffer
-    marked anew at each step by the odd primes up to isqrt(limit)."""
+    2(k0 + i) + 1 <= limit: views of a :func:`sieve_primes` array, which must
+    reach limit, or else one buffer marked anew at each step by the odd
+    primes up to isqrt(limit)."""
     n_odd = (limit + 1) // 2
     if sieve is not None:
-        odd = sieve.odd_flags(limit)
+        if n_odd > sieve.size:
+            raise ValueError(f"{limit} beyond sieve limit {2 * sieve.size}")
         for k0 in range(0, n_odd, SEGMENT_SIZE):
-            yield k0, odd[k0 : k0 + SEGMENT_SIZE]
+            yield k0, sieve[k0 : min(k0 + SEGMENT_SIZE, n_odd)]
         return
     root = isqrt(limit)
-    base = [] if root < 3 else (2 * np.flatnonzero(sieve_primes(root).odd) + 1).tolist()
+    base = [] if root < 3 else (2 * np.flatnonzero(sieve_primes(root)) + 1).tolist()
     buffer = np.empty(min(SEGMENT_SIZE, n_odd), dtype=bool)
     for k0 in range(0, n_odd, SEGMENT_SIZE):
         seg = buffer[: min(SEGMENT_SIZE, n_odd - k0)]
@@ -100,25 +76,26 @@ def _segments(limit: int, sieve: PrimeSieve | None = None):
         yield k0, seg
 
 
-def sieve_primes(limit: int) -> PrimeSieve:
-    """The odd-only sieve up to limit, inclusive, kept whole for reuse;
-    rejects limits over the memory cap (see :func:`check_limit`)."""
+def sieve_primes(limit: int) -> np.ndarray:
+    """The odd-only sieve up to limit, inclusive, kept whole for reuse: a
+    read-only bool array whose entry k is the primality of 2k + 1 <= limit.
+    Rejects limits over the memory cap (see :func:`check_limit`)."""
     limit = _as_u64(limit, "limit")
     check_limit(limit)
     odd = np.empty((limit + 1) // 2, dtype=bool)
     for k0, seg in _segments(limit):
         odd[k0 : k0 + seg.size] = seg
     odd.flags.writeable = False
-    return PrimeSieve(limit, odd)
+    return odd
 
 
-def oracle_pi(x: int, sieve: PrimeSieve | None = None) -> int:
+def oracle_pi(x: int, sieve: np.ndarray | None = None) -> int:
     """Exact pi(x): the odd primes up to x, counted segment by segment, plus the prime 2."""
-    x = _as_u64(x, "x")
+    x = _as_i64(x, "x")
     return sum(int(np.count_nonzero(seg)) for _, seg in _segments(x, sieve)) + (x >= 2)
 
 
-def oracle_pair_count(x: int, half_gap: int, sieve: PrimeSieve | None = None) -> int:
+def oracle_pair_count(x: int, half_gap: int, sieve: np.ndarray | None = None) -> int:
     """Number of prime pairs (p, p + 2n) with p + 2n <= x, by sieve scan."""
     x = _as_u64(x, "x")
     half_gap = _as_u64(half_gap, "half_gap", minimum=1)
@@ -126,7 +103,7 @@ def oracle_pair_count(x: int, half_gap: int, sieve: PrimeSieve | None = None) ->
 
 
 def pair_counts_at(
-    xs: np.ndarray, gaps: list[int], sieve: PrimeSieve | None = None
+    xs: np.ndarray, gaps: list[int], sieve: np.ndarray | None = None
 ) -> np.ndarray:
     """Prime and pair counts at sampled x, in any order: ``counts[k, i]``
     counts the prime pairs (p, p + gaps[k]) with p + gaps[k] <= xs[i], and
@@ -143,6 +120,8 @@ def pair_counts_at(
     max_x = _as_i64(int(xs.max()) if xs.size else 0, "max(xs)")
     if xs.size and xs.min() < 0:
         raise ValueError(f"xs must be >= 0 (got {int(xs.min())})")
+    if xs.size and xs.dtype.kind not in "iu":
+        raise TypeError(f"xs must be integers (got dtype {xs.dtype})")
     gaps = [_as_i64(gap, "gap") for gap in gaps]
     for gap in gaps:
         if gap % 2:

@@ -181,15 +181,6 @@ class STable:
                 f"values length {self.values.shape[0]} != range size {self.hi - self.lo + 1}"
             )
 
-    def __len__(self) -> int:
-        return self.hi - self.lo + 1
-
-    def at(self, j: int) -> int:
-        """S(j) addressed by value j, not by array index."""
-        if not self.lo <= j <= self.hi:
-            raise IndexError(f"{j} outside table range [{self.lo}, {self.hi}]")
-        return int(self.values[j - self.lo])
-
     def to_bytes(self) -> bytes:
         """Serialize to the checksummed cache format (deterministic bytes)."""
         return b"".join(_chunks(self.lo, self.hi, self.conv, [self.values]))
@@ -452,8 +443,3 @@ def s_range(
     for a, values in iter_segments(lo, hi, conv, threads=threads):
         out[a - lo : a - lo + values.size] = values
     return STable(lo, hi, conv, out)
-
-
-def default_cache_dir() -> str:
-    """Directory for S-table caches: $SKT_CACHE_DIR if set, else the cwd."""
-    return os.environ.get("SKT_CACHE_DIR", ".")

@@ -253,7 +253,9 @@ def test_twin_monotone_with_exact_increments(sieve_100k):
     # Increment at x iff (x-2, x) is a twin pair: the larger-member reading.
     limit = 10_000
     sweep = sample_counts(np.arange(limit + 1), [2])[0, 0]
-    flags = np.array([sieve_100k.is_prime(n) for n in range(limit + 1)])
+    flags = np.zeros(limit + 1, dtype=bool)
+    flags[1::2] = sieve_100k[: (limit + 1) // 2]  # the odd n, then the prime 2
+    flags[2] = True
     diffs = np.diff(sweep)
     assert (diffs >= 0).all()
     expected = np.zeros(limit, dtype=np.int64)
@@ -375,6 +377,9 @@ def test_sample_points_must_ascend_from_zero():
         with pytest.raises(ValueError):
             sample_counts(np.array(xs), [2])
     assert sample_counts(np.array([50, 50, 100]), [2])[0].ravel().tolist() == [6, 6, 8]
+    for xs in ([10.9, 100.5], [False, True]):  # once read as the counts at 10 and 100
+        with pytest.raises(TypeError, match="integers"):
+            sample_counts(np.array(xs), [0, 2])
 
 
 def test_gaps_past_x_count_zero_without_holding_gap_flags():

@@ -1,7 +1,6 @@
 """Sieve oracle: exactness, agreement with the primality kernel, examples."""
 
 import ast
-import random
 import tracemalloc
 from pathlib import Path
 
@@ -20,54 +19,49 @@ from kempner.oracle import (
 
 
 def test_sieve_examples():
-    assert [n for n in range(11) if sieve_primes(10).is_prime(n)] == [2, 3, 5, 7]
+    # Entry k flags 2k + 1: 1, 3, 5, 7, 9.
+    assert sieve_primes(10).tolist() == [False, True, True, True, False]
     assert oracle_pi(100, sieve_primes(100)) == 25
     empty = sieve_primes(0)
+    assert isinstance(empty, np.ndarray) and empty.dtype == bool and empty.size == 0
     assert oracle_pi(0, empty) == 0
-    assert not empty.is_prime(0)
-    assert empty.odd_flags().size == 0
 
 
 def test_flags_match_is_prime_at_every_small_limit():
     # Limits below 9 have no base primes; the next ones sieve their base
     # primes from sieves to 3..14.
     for limit in range(201):
-        sieve = sieve_primes(limit)
-        numbers = range(limit + 1)
-        assert [sieve.is_prime(n) for n in numbers] == [is_prime(n) for n in numbers], limit
-        assert sieve.odd.size == (limit + 1) // 2
+        odd = range(1, limit + 1, 2)
+        assert sieve_primes(limit).tolist() == [is_prime(n) for n in odd], limit
 
 
 def test_sieve_flags_are_read_only(sieve_100k):
     with pytest.raises(ValueError, match="read-only"):
-        sieve_100k.odd_flags()[0] = True
+        sieve_100k[0] = True
 
 
 def test_sieve_agrees_with_is_prime_exhaustively(sieve_100k):
-    mine = np.fromiter((is_prime(n) for n in range(10**5 + 1)), dtype=bool)
-    assert (sieve_100k.odd_flags() == mine[1::2]).all()
-    assert [sieve_100k.is_prime(n) for n in range(0, 10**5 + 1, 2)] == mine[::2].tolist()
-    for upto in (0, 1, 2, 3, 10, 99_999):
-        assert (sieve_100k.odd_flags(upto) == mine[1 : upto + 1 : 2]).all()
-
-
-def test_sieve_point_queries_random(sieve_100k):
-    rng = random.Random(3)
-    for _ in range(10_000):
-        n = rng.randrange(10**5 + 1)
-        assert sieve_100k.is_prime(n) == is_prime(n), n
+    mine = np.fromiter((is_prime(n) for n in range(1, 10**5 + 1, 2)), dtype=bool)
+    assert sieve_100k.shape == mine.shape
+    assert (sieve_100k == mine).all()
 
 
 def test_sieve_point_query_out_of_range(sieve_100k):
-    for read in (sieve_100k.is_prime, sieve_100k.odd_flags):
-        with pytest.raises(ValueError, match="beyond sieve limit"):
-            read(10**5 + 1)
+    # The array's 50,000 odd flags reach 99,999, so it serves every x up to 100,000.
+    assert oracle_pi(10**5, sieve_100k) == 9592
     with pytest.raises(ValueError, match="beyond sieve limit"):
         pair_counts_at(np.array([10**5 + 1]), [2], sieve_100k)
+    with pytest.raises(ValueError, match="beyond sieve limit"):
+        oracle_pi(10**5 + 1, sieve_100k)
+    with pytest.raises(ValueError, match="beyond sieve limit"):
+        oracle_pair_count(10**5 + 1, 1, sieve_100k)
+    with pytest.raises(ValueError, match="beyond sieve limit"):
+        oracle_pi(1, sieve_primes(0))
 
 
 def test_popcount_plus_two_is_pi(sieve_100k):
-    assert int(sieve_100k.odd.sum()) + 1 == oracle_pi(sieve_100k.limit, sieve_100k) == 9592
+    limit = 2 * sieve_100k.size - 1
+    assert int(sieve_100k.sum()) + 1 == oracle_pi(limit, sieve_100k) == 9592
 
 
 def test_sieve_memory_cap(monkeypatch):
@@ -100,9 +94,8 @@ def test_segmentation_does_not_change_flags(monkeypatch, sieve_100k):
     pis = [oracle_pi(int(x), sieve_100k) for x in xs]
     for segment_size in (1, 7, 997):
         monkeypatch.setattr(oracle, "SEGMENT_SIZE", segment_size)
-        assert (sieve_primes(10**5).odd == sieve_100k.odd).all(), segment_size
-        sieve = sieve_primes(200)
-        assert [sieve.is_prime(n) for n in range(201)] == [is_prime(n) for n in range(201)]
+        assert (sieve_primes(10**5) == sieve_100k).all(), segment_size
+        assert sieve_primes(200).tolist() == [is_prime(n) for n in range(1, 201, 2)]
         assert (pair_counts_at(xs, gaps) == counts).all(), segment_size
         assert [oracle_pi(int(x)) for x in xs] == pis, segment_size
 
@@ -268,5 +261,10 @@ def test_pair_counts_at_rejects_2_63_before_sieving(monkeypatch):
         pair_counts_at([100], [2, 7])
     with pytest.raises(ValueError, match="64 bits"):
         pair_counts_at([2**64], [2])
+    for xs in ([10.9, 100.5], [True, False]):  # once read as the counts at 10 and 100
+        with pytest.raises(TypeError, match="integers"):
+            pair_counts_at(np.array(xs), [0, 2])
     with pytest.raises(ValueError, match="below 2\\^63"):
         oracle_pair_count(2**63, 1)
+    with pytest.raises(ValueError, match="below 2\\^63"):
+        oracle_pi(2**63)

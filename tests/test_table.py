@@ -49,8 +49,7 @@ def test_first_ten_formula(segment_size, threads):
 def test_degenerate_single_entry():
     for k in (1, 2, 97, 4096, 999983):
         tab = s_range(k, k)
-        assert len(tab) == 1
-        assert tab.at(k) == s(k)
+        assert tab.values.tolist() == [s(k)]
 
 
 def test_matches_scalar_kernel_on_random_windows():
@@ -59,13 +58,13 @@ def test_matches_scalar_kernel_on_random_windows():
         lo = rng.randrange(1, 10**7 - 1000)
         tab = s_range(lo, lo + 999)
         for j in range(lo, lo + 1000):
-            assert tab.at(j) == s(j), j
+            assert tab.values[j - lo] == s(j), j
 
 
 def test_full_sweep_matches_factorization_kernel():
     tab = s_range(1, 5000)
     for n in range(1, 5001):
-        assert tab.at(n) == s(n), n
+        assert tab.values[n - 1] == s(n), n
 
 
 def test_segment_boundaries_do_not_matter():
@@ -303,7 +302,7 @@ def test_split_windows_match_scalar_kernel(window):
     with patch.object(table, "SEGMENT_SIZE", segment_size):
         tab = s_range(lo, hi)
     checked = range(check_lo, check_hi + 1)
-    assert [tab.at(j) for j in checked] == [s(j) for j in checked]
+    assert tab.values[check_lo - lo : check_hi - lo + 1].tolist() == [s(j) for j in checked]
 
 
 @pytest.mark.parametrize("x", [10**5, 10**6, 10**7])
@@ -317,7 +316,8 @@ def test_split_primes_on_the_strided_path(x, above_cbrt, form):
         assert max(13, table._icbrt(hi)) < q <= min(isqrt(hi), (hi - lo + 1) // table._BAND_HITS)
         window = range(centre - 16, centre + 17)
         tab = s_range(lo, hi)
-        assert [tab.at(j) for j in window] == [s(j) for j in window], q
+        got = tab.values[window.start - lo : window.stop - lo].tolist()
+        assert got == [s(j) for j in window], q
 
 
 @pytest.mark.parametrize("k", [211, 997, 1000])
@@ -369,15 +369,6 @@ def test_rejections():
             s_range(1, 10, threads=threads)
     with pytest.raises(TypeError):
         s_range(1, 10, threads=2.0)
-
-
-def test_at_range_checks():
-    tab = s_range(5, 10)
-    assert tab.at(5) == 5
-    with pytest.raises(IndexError):
-        tab.at(4)
-    with pytest.raises(IndexError):
-        tab.at(11)
 
 
 def test_stable_length_validation():
@@ -440,7 +431,7 @@ def test_load_holds_one_copy(tmp_path):
     assert peak < 1.25 * os.path.getsize(path)
     assert back.values.flags.writeable
     back.values[0] = 7
-    assert back.at(1) == 7
+    assert back.values[0] == 7
 
 
 @pytest.mark.parametrize("bad", ["magic", "length"])
@@ -464,7 +455,7 @@ def test_from_bytes_copies_a_read_only_blob():
     blob = s_range(1, 50).to_bytes()
     tab = STable.from_bytes(blob)
     tab.values[0] = 7
-    assert STable.from_bytes(blob).at(1) == 1
+    assert STable.from_bytes(blob).values[0] == 1
 
 
 def test_serialization_is_deterministic():
@@ -560,7 +551,7 @@ def test_failed_save_keeps_existing_file_and_leaves_no_temp(tmp_path, monkeypatc
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["window.skt"]
     s_range(1, 500).save(path)
-    assert len(STable.load(path)) == 500
+    assert STable.load(path).values.size == 500
 
 
 def test_save_writes_the_values_without_a_blob(tmp_path):
