@@ -265,6 +265,8 @@ def sample_counts(xs: np.ndarray, gaps: list[int], *, threads: int = 1) -> np.nd
     xs = np.asarray(xs)
     if xs.size and xs.dtype.kind not in "iu":
         raise TypeError(f"sample points must be integers (got dtype {xs.dtype})")
+    if xs.size and xs.dtype.kind == "u":  # int64 would wrap these negative
+        _as_i64(int(xs.max()), "max(xs)")
     xs = xs.astype(np.int64, copy=False)
     if xs.size and (xs[0] < 0 or (np.diff(xs) < 0).any()):
         raise ValueError("sample points must be ascending and >= 0")

@@ -19,7 +19,7 @@ import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd, isqrt, prod
 
 import numpy as np
@@ -40,7 +40,8 @@ U64_MAX = 2**64 - 1
 # The counts and the oracle index x and the gaps as int64; S takes any u64.
 _I64_MAX = 2**63 - 1
 
-_TRIAL_BOUND = 10_000  # trial-division cutoff before the rho splitter takes over
+_TRIAL_BOUND = 10_000  # primes below it are found by one gcd
+_SPLIT_BOUND = 1 << 20  # primes below it by the vectorized divisibility test; rho takes the rest
 _RHO_SEED = 0x5EED_CAFE  # fixed seed: factorization must be reproducible run to run
 
 
@@ -98,7 +99,12 @@ def is_prime(n: int) -> bool:
 
     0 and 1 are not prime.
     """
-    n = _as_u64(n, "n")
+    return _miller_rabin(_as_u64(n, "n"))
+
+
+@lru_cache(maxsize=1024)
+def _miller_rabin(n: int) -> bool:
+    """Primality of a checked u64, cached so one factorization proves each prime once."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -168,10 +174,29 @@ _TRIAL_PRIMES = tuple(_small_primes(_TRIAL_BOUND - 1).tolist())
 _TRIAL_PRODUCT = prod(_TRIAL_PRIMES)
 
 
+@cache
+def _split_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The primes p in [_TRIAL_BOUND, _SPLIT_BOUND) with p^-1 mod 2^64 and (2^64 - 1) // p.
+
+    For odd p, p divides n exactly when n * p^-1 mod 2^64 <= (2^64 - 1) // p
+    (Granlund & Montgomery, PLDI 1994, section 9), so one wrapping uint64
+    multiply and compare tests every p at once.  Built on first use.
+    """
+    primes = _small_primes(_SPLIT_BOUND)
+    primes = primes[primes > _TRIAL_BOUND]
+    p = primes.astype(np.uint64)
+    inverses = p.copy()  # p * p = 1 mod 8: right in the low 3 bits
+    for _ in range(5):  # Newton's step doubles the right low bits: 3 -> 96 >= 64
+        inverses *= 2 - p * inverses
+    return primes.astype(np.uint32), inverses, np.uint64(U64_MAX) // p
+
+
 def _brent_rho(n: int) -> int:
     """Nontrivial factor of an odd composite n (Brent's cycle variant).
 
     Seeded deterministically from n so repeated runs split identically.
+    :func:`factorize` calls it only on cofactors whose primes are all at
+    least _SPLIT_BOUND = 2^20; it finds a prime p in about sqrt(p) steps.
     """
     rng = random.Random(_RHO_SEED ^ n)
     while True:
@@ -203,14 +228,25 @@ def _brent_rho(n: int) -> int:
 
 
 def factorize(n: int) -> Factorization:
-    """Complete prime factorization of an unsigned 64-bit integer.
+    """Complete prime factorization of an unsigned 64-bit integer, in three stages.
 
-    One gcd with the product of the primes below a small fixed bound finds
-    which of them divide n, and only those are divided out; Brent's rho
-    splitter plus :func:`is_prime` handles any remaining cofactor.
+    One gcd with the product of the primes below _TRIAL_BOUND finds which
+    of them divide n.  If the cofactor left is composite, one vectorized
+    exact divisibility test over the primes of :func:`_split_table` finds
+    which of those up to _SPLIT_BOUND divide it.  Only the primes found are
+    divided out, and Brent's rho splitter plus :func:`is_prime` handles any
+    remaining cofactor.
     """
     n = _as_u64(n, "n", minimum=1)
     found: dict[int, int] = {}
+
+    def divide_out(primes) -> None:
+        nonlocal n
+        for p in primes:
+            while n % p == 0:
+                found[p] = found.get(p, 0) + 1
+                n //= p
+
     g = gcd(n, _TRIAL_PRODUCT)  # squarefree: the primes of n below _TRIAL_BOUND
     small = []
     for p in _TRIAL_PRIMES:
@@ -221,10 +257,10 @@ def factorize(n: int) -> Factorization:
             g //= p
     if g > 1:
         small.append(g)  # no smaller prime left, so g is prime
-    for p in small:
-        while n % p == 0:
-            found[p] = found.get(p, 0) + 1
-            n //= p
+    divide_out(small)
+    if n >= _TRIAL_BOUND**2 and not is_prime(n):  # below it a cofactor is 1 or prime
+        primes, inverses, limits = _split_table()
+        divide_out(primes[np.uint64(n) * inverses <= limits].tolist())
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

@@ -380,6 +380,9 @@ def test_sample_points_must_ascend_from_zero():
     for xs in ([10.9, 100.5], [False, True]):  # once read as the counts at 10 and 100
         with pytest.raises(TypeError, match="integers"):
             sample_counts(np.array(xs), [0, 2])
+    for xs in ([2**63], [5, 2**64 - 1]):  # the int64 cast once wrapped these negative
+        with pytest.raises(ValueError, match=r"max\(xs\) must be below 2\^63"):
+            sample_counts(np.array(xs, dtype=np.uint64), [2])
 
 
 def test_gaps_past_x_count_zero_without_holding_gap_flags():

@@ -1,13 +1,19 @@
 """Scalar kernels: definitions, examples, and cross-kernel properties."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kempner import core
 from kempner.core import (
     U64_MAX,
     Convention,
@@ -169,6 +175,16 @@ def test_is_prime_rejects_out_of_domain():
         is_prime(2**64)
 
 
+def test_is_prime_checks_before_its_cache():
+    assert is_prime(5)
+    with pytest.raises(TypeError):
+        is_prime(5.0)  # equal to 5 and hashed alike, so a cache ahead of the check would answer
+
+
+def test_is_prime_cache_is_bounded():
+    assert core._miller_rabin.cache_info().maxsize is not None
+
+
 # --- factorize --------------------------------------------------------------
 
 
@@ -234,6 +250,120 @@ def test_factorize_is_deterministic():
     semiprime = 999999937 * 999999893
     assert factorize(semiprime).factors == factorize(semiprime).factors
     assert math.prod(p**a for p, a in factorize(semiprime)) == semiprime
+
+
+# --- the split stage: primes in [_TRIAL_BOUND, 2^20) by one divisibility test ---
+
+
+def expected_factors(n):
+    return tuple(sorted(sympy.factorint(n).items()))
+
+
+def test_split_table_holds_each_prime_with_its_inverse():
+    primes, inverses, limits = core._split_table()
+    assert (primes[0], primes[-1], primes.size) == (10007, 1048573, 80796)
+    wide = primes.astype(np.uint64)
+    assert (wide * inverses == 1).all()
+    assert (limits == np.uint64(U64_MAX) // wide).all()
+
+
+def test_split_test_agrees_with_remainders():
+    primes, inverses, limits = core._split_table()
+    wide = primes.astype(np.uint64)
+    assert (wide * inverses <= limits).all()  # n = p
+    assert ((np.uint64(U64_MAX) // wide * wide) * inverses <= limits).all()  # largest multiple
+    rng = random.Random(20)
+    seeded = [rng.randrange(1, U64_MAX + 1) for _ in range(40)]
+    seeded += [p * rng.randrange(1, 2**40) for p in rng.sample(primes.tolist(), 40)]
+    for n in [U64_MAX, *seeded]:
+        hits = np.uint64(n) * inverses <= limits
+        assert (hits == (np.uint64(n) % wide == 0)).all(), n
+
+
+@pytest.fixture
+def rho_calls(monkeypatch):
+    """The cofactors handed to the rho splitter."""
+    calls = []
+    rho = core._brent_rho
+    monkeypatch.setattr(core, "_brent_rho", lambda n: calls.append(n) or rho(n))
+    return calls
+
+
+def only_large_primes(cofactors) -> bool:
+    """Whether every cofactor is free of primes below 2^20, as the split stage leaves it."""
+    return all(min(sympy.factorint(m)) > 1 << 20 for m in cofactors)
+
+
+def test_factorize_boundary_primes(rho_calls):
+    # 10007 is the table's first prime and 1048573 its last; 1048583, the
+    # first past it, is left to the rho splitter.
+    big = sympy.prevprime(10**12)
+    both = sympy.prevprime(U64_MAX // (10007 * 1048573))
+    for n in (
+        10007 * big, 1048573 * big, 10007 * 1048573, 10007 * 1048573 * both, 10007**3 * 1048573,
+        1048573**3, U64_MAX // 10007 * 10007, U64_MAX // 1048573 * 1048573,
+    ):  # fmt: skip
+        assert factorize(n).factors == expected_factors(n), n
+    # At the largest multiple of p, n * p^-1 equals (2^64 - 1) // p: the bound
+    # is inclusive.  These p leave that multiple whole through the gcd stage.
+    primes = core._split_table()[0].tolist()
+    edge = [p for p in primes if math.gcd(U64_MAX // p, core._TRIAL_PRODUCT) == 1]
+    for p in edge[:3] + edge[-3:]:
+        n = U64_MAX // p * p
+        assert factorize(n).factors == expected_factors(n), n
+    assert factorize(1048583 * big).factors == ((1048583, 1), (big, 1))
+    assert factorize(1048573 * 1048583**2).factors == ((1048573, 1), (1048583, 2))
+    assert 1048583 * big in rho_calls and 1048583**2 in rho_calls
+    assert only_large_primes(rho_calls), rho_calls
+
+
+def test_factorize_powers_near_two_to_the_twenty():
+    below = sympy.prevprime(1 << 20)
+    above = sympy.nextprime(1 << 20)
+    near = [sympy.prevprime(below), below, above, sympy.nextprime(above)]
+    for p in near:
+        for n in (p**2, p**3, p * near[0] ** 2, p**2 * 10007):
+            assert factorize(n).factors == expected_factors(n), n
+
+
+def test_factorize_three_table_primes_times_a_large_prime():
+    rng = random.Random(21)
+    primes = core._split_table()[0].tolist()
+    for _ in range(20):
+        a, b, c = sorted(rng.sample(primes[:200], 3))  # product near 10^12
+        q = sympy.prevprime(U64_MAX // (a * b * c))
+        n = a * b * c * q
+        assert factorize(n).factors == ((a, 1), (b, 1), (c, 1), (q, 1))
+
+
+def test_factorize_random_u64_vs_sympy(rho_calls):
+    rng = random.Random(22)
+    for _ in range(500):
+        n = rng.randrange(1, U64_MAX + 1)
+        assert factorize(n).factors == expected_factors(n), n
+    assert only_large_primes(rho_calls), rho_calls
+
+
+def test_counts_and_tables_never_build_the_split_table():
+    # Only factorize reads the table; the segment kernel and both count sides
+    # must not pay its 1.5 MiB and milliseconds.
+    probe = """
+import numpy as np
+import kempner
+from kempner import core
+from kempner.census import count_twin, sample_counts
+from kempner.table import s_range
+
+count_twin(10**5)
+sample_counts(np.arange(1000), [0, 2, 6])
+s_range(10**9, 10**9 + 1000)
+assert core._split_table.cache_info().currsize == 0
+"""
+    src = Path(core.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_factorization_invariants_enforced():
