@@ -146,10 +146,12 @@ class _Tally:
         np.logical_and(self.tail[:m], flags[:m], out=pair[:m])
         np.logical_and(flags[: n - m], flags[m:], out=pair[m:])
         self.tail = np.concatenate((self.tail[m:], flags[n - m :]))
-        hits = np.flatnonzero(pair)
+        # Only the hits up to the segment's last sample point are listed;
+        # none when it holds no sample point.
         lo, hi = np.searchsorted(self.xs, (a, a + n))
+        hits = np.flatnonzero(pair[: self.xs[hi - 1] - a + 1 if hi > lo else 0])
         self.counts[lo:hi] = self.seen + np.searchsorted(hits, self.xs[lo:hi] - a, side="right")
-        self.seen += hits.size
+        self.seen += np.count_nonzero(pair)
 
 
 def _stream(x: int, tallies: list[_Tally], threads: int) -> None:

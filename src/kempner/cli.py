@@ -31,6 +31,9 @@ MAX_TRACE_ROWS = 1 << 20
 # fills the first half as uint32), the working arrays of the fill it runs
 # and an OS thread.
 MAX_THREADS = 4 * (os.cpu_count() or 1)
+# Rows of `table` CSV joined into one string per write: about 5 MB of row
+# strings, a fixed bound below a segment's 2^19 rows.
+_CSV_ROWS = 1 << 16
 
 _X = click.IntRange(0, _I64_MAX)
 _N = click.IntRange(1, U64_MAX)
@@ -176,8 +179,9 @@ def table(lo: int, hi: int, out_path: str | None, fmt: str, convention: str, thr
             with nullcontext(sys.stdout) if out_path is None else open(out_path, "w") as fh:
                 fh.write("n,s,is_fixed_point\n")
                 for a, values in iter_segments(lo, hi, conv, threads=threads):
-                    rows = enumerate(values.tolist(), a)
-                    fh.writelines(f"{j},{v},{_bool_str(v == j)}\n" for j, v in rows)
+                    for i in range(0, values.size, _CSV_ROWS):
+                        rows = enumerate(values[i : i + _CSV_ROWS].tolist(), a + i)
+                        fh.write("".join([f"{j},{v},{_bool_str(v == j)}\n" for j, v in rows]))
         except OSError as exc:
             _exit_io(f"cannot write {'stdout' if out_path is None else out_path}", exc)
         return

@@ -9,16 +9,20 @@ reaches past cbrt(b): a j <= b has at most two prime factors above cbrt(b),
 so an array that holds S of the part of j over them (1, q, 2q or max(q,
 q')) stands in for that part.  One division of j by the product times that
 array leaves the one prime of j above sqrt(b), or 1, or a value below the
-array's entry (``_fill_segment`` gives the cases).  The powers 2^1..2^4,
-3^1..3^2, 5, 7, 11 and 13 are done once per process: a pre-sieve tile holds
-their S and product for j mod 720,720, and every segment starts as a copy
-of it (the PreSieve of primesieve, K. Walisch).  The higher powers of p <=
-13 and the primes up to span / _BAND_HITS then walk strided views of the
-segment, one prime at a time.  The larger primes, each of which hits the
-segment only a few times, form the large band: a bulk pass computes the
-offsets of all their powers as one vector and applies every hit with
-``np.maximum.at`` and ``np.multiply.at``, a block of primes at a time (the
-bucket idea of Oliveira e Silva, Herzog and Pardi, Math. Comp. 83, 2014).
+array's entry (``_fill_segment`` gives the cases).  The powers 2^1..2^6,
+3^1..3^3, 5, 7, 11, 13, 17, 19 and 23 are done once per process: two
+pre-sieve tiles of coprime periods, one for 2^6 * 3^3 * 5 * 7 * 11 =
+665,280 and one for 13 * 17 * 19 * 23 = 96,577, hold the S and product of
+their powers for j mod their period, and every segment starts as the max
+of the two tiles' S and the product of their products, in the one pass
+that fills it (the PreSieve of primesieve, K. Walisch, which combines its
+buffers the same way).  The higher powers of p <= 23 and the primes up to
+span / _BAND_HITS then walk strided views of the segment, one prime at a
+time.  The larger primes, each of which hits the segment only a few times,
+form the large band: a bulk pass computes the offsets of all their powers
+as one vector and applies every hit with ``np.maximum.at`` and
+``np.multiply.at``, a block of primes at a time (the bucket idea of
+Oliveira e Silva, Herzog and Pardi, Math. Comp. 83, 2014).
 A segment that ends below 2^32 holds S, the product and the cofactor as
 uint32, any other as uint64; ``iter_segments`` yields the values in that
 dtype, and a table holds them as uint64.  The last step is an unmasked max
@@ -73,14 +77,18 @@ __all__ = [
 # flight.  Values and counts do not depend on it; speed at 10^9 is flat
 # from 2^17 to 2^20.  Read at each call, so tests can patch it.
 SEGMENT_SIZE = 1 << 19
-# Primes above span / _BAND_HITS (and above 13) hit a span at most about
+# Primes above span / _BAND_HITS (and above 23) hit a span at most about
 # _BAND_HITS times; they skip the strided loop for the bulk pass, which takes
 # _BAND_BLOCK of them per step so that its temporaries stay bounded.
 _BAND_HITS = 128
 _BAND_BLOCK = 1 << 14
-# The prime powers of the pre-sieve tile, which covers j mod _TILE.
-_TILE_POWERS = {2: 4, 3: 2, 5: 1, 7: 1, 11: 1, 13: 1}
-_TILE = 2**4 * 3**2 * 5 * 7 * 11 * 13  # 720,720
+# The prime powers of the two pre-sieve tiles, one dict each; a tile covers
+# j mod the product of its powers, 665,280 and 96,577, which are coprime.
+_TILE_POWERS = ({2: 6, 3: 3, 5: 1, 7: 1, 11: 1}, {13: 1, 17: 1, 19: 1, 23: 1})
+# The exponent of each prime in its tile, and the largest such prime, up to
+# which every prime takes the strided loop.
+_PRESIEVED = {p: e for powers in _TILE_POWERS for p, e in powers.items()}
+_TILE_TOP = max(_PRESIEVED)
 
 _MAGIC = b"SKT2"
 _VERSION = 2
@@ -232,26 +240,50 @@ def _icbrt(n: int) -> int:
 
 
 @cache
-def _tile() -> tuple[np.ndarray, np.ndarray]:
-    """The pre-sieve tile: S and ``prod`` over the powers of _TILE_POWERS for j mod _TILE.
+def _tiles() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The pre-sieve tiles: (S, ``prod``) over the powers of each dict of _TILE_POWERS.
 
-    Entry i holds the largest S(p^k) over the powers p^k of _TILE_POWERS that
-    divide i (uint8, at most 13) and their product gcd(i, _TILE) (uint32).
-    Built once per process (3.6 MB, about 4 ms) and read-only, so every
-    thread shares it.  It grows one prime at a time: the tile of the primes
-    so far, repeated p^e times, is the tile of those primes mod the new
-    length, so only the strides of p are left to apply.
+    Entry i of a tile of period t, the product of its powers, holds the
+    largest S(p^k) over its powers p^k that divide i (uint8, at most 23) and
+    their product gcd(i, t) (uint32).  Built once per process (3.8 MB in
+    all, about 4 ms) and read-only, so every thread shares them.  A tile
+    grows one prime at a time: the tile of the primes so far, repeated p^e
+    times, is the tile of those primes mod the new length, so only the
+    strides of p are left to apply.
     """
-    smax = np.zeros(1, dtype=np.uint8)
-    part = np.ones(1, dtype=np.uint32)
-    for p, e in _TILE_POWERS.items():
-        smax, part = np.tile(smax, p**e), np.tile(part, p**e)
-        for k in range(1, e + 1):
-            hits = smax[:: p**k]
-            np.maximum(hits, s_prime_power(p, k), out=hits)
-            part[:: p**k] *= p
-    smax.flags.writeable = part.flags.writeable = False
-    return smax, part
+    tiles = []
+    for powers in _TILE_POWERS:
+        smax = np.zeros(1, dtype=np.uint8)
+        part = np.ones(1, dtype=np.uint32)
+        for p, e in powers.items():
+            smax, part = np.tile(smax, p**e), np.tile(part, p**e)
+            for k in range(1, e + 1):
+                hits = smax[:: p**k]
+                np.maximum(hits, s_prime_power(p, k), out=hits)
+                part[:: p**k] *= p
+        smax.flags.writeable = part.flags.writeable = False
+        tiles.append((smax, part))
+    return tuple(tiles)
+
+
+def _presieve(dest: np.ndarray, prod: np.ndarray, a: int) -> None:
+    """Start the segment from a: dest = S and prod = gcd(j, t) * gcd(j, t') over both tiles.
+
+    One max and one multiply per contiguous piece, and a piece ends where
+    either tile wraps, about six per 2^19 entries.  The product is taken in
+    the dtype of dest: it reaches 665,280 * 96,577 > 2^32, which a uint32
+    multiply would wrap.
+    """
+    (smax, part), (smax2, part2) = _tiles()
+    n, i = dest.size, 0
+    while i < n:
+        off, off2 = (a + i) % smax.size, (a + i) % smax2.size
+        m = min(n - i, smax.size - off, smax2.size - off2)
+        np.maximum(smax[off : off + m], smax2[off2 : off2 + m], out=dest[i : i + m])
+        np.multiply(
+            part[off : off + m], part2[off2 : off2 + m], out=prod[i : i + m], dtype=dest.dtype
+        )
+        i += m
 
 
 def _fill_segment(dest: np.ndarray, a: int, b: int, base: np.ndarray) -> None:
@@ -260,10 +292,10 @@ def _fill_segment(dest: np.ndarray, a: int, b: int, base: np.ndarray) -> None:
     Every multiple of p^k in the segment takes the max with S(p^k), which
     grows with k, so the highest power of p that divides j wins.  ``prod``
     collects those powers, the part of j over the base primes up to the
-    cube root of b and the primes of the tile; one division leaves the
+    cube root of b and the primes of the tiles; one division leaves the
     cofactor.
 
-    The base primes p with max(13, cbrt(b)) < p <= sqrt(b), the split
+    The base primes p with max(23, cbrt(b)) < p <= sqrt(b), the split
     primes, keep no product.  A j <= b has at most two prime factors above
     cbrt(b), counted with multiplicity, so its part over the split primes
     is 1, q, q^2 or q*q' (q < q'), and a separate array ``split`` holds
@@ -278,36 +310,32 @@ def _fill_segment(dest: np.ndarray, a: int, b: int, base: np.ndarray) -> None:
     all take the bulk pass with a product, so a segment with no strided
     split prime (near 10^12) makes no extra pass.
 
-    The segment starts as a copy of the pre-sieve tile from offset a mod
-    _TILE, in pieces when it is longer than the tile, so the powers of
-    _TILE_POWERS cost nothing per segment; the strided loop starts each
-    p <= 13 at the first power past them (2^5, 3^3, 5^2, ...).  Primes up to
-    max(13, n / _BAND_HITS) walk strided views of the segment; the larger
-    ones, which hit it rarely, go to the bulk pass in blocks.  ``prod``,
-    ``split`` and the cofactor take the dtype of dest, which
-    :func:`iter_segments` makes uint32 when b < 2^32 (every value and
+    The segment starts as the two pre-sieve tiles combined by
+    :func:`_presieve`, so the powers of _TILE_POWERS cost nothing beyond
+    the pass that fills it; the strided loop starts each p <= 23 at the
+    first power past its tile (2^7, 3^4, 5^2, 7^2, 11^2, 13^2, 17^2, 19^2,
+    23^2).  Primes up to max(23, n / _BAND_HITS) walk strided views of the
+    segment; the larger ones, which hit it rarely, go to the bulk pass in
+    blocks.  Every tile prime is on the strided loop, so none reaches
+    ``split`` or the bulk pass, where its factor would count twice in the
+    divisor.  ``prod``, ``split`` and the cofactor take the dtype of dest,
+    which :func:`iter_segments` makes uint32 when b < 2^32 (every value and
     product is at most j) and uint64 otherwise.
 
     The last step is the max of S and the cofactor, unmasked.  For j >= 2 a
-    cofactor of 1 means j has a base prime or a prime of the tile, so S is
+    cofactor of 1 means j has a base prime or a prime of a tile, so S is
     already at least 2 and the 1 changes nothing.  For j = 1 it leaves 1,
     and :func:`iter_segments` overwrites that entry with the convention's
     S(1).
     """
     n = b - a + 1
     prod = np.empty_like(dest)
-    smax, part = _tile()
-    i, off = 0, a % _TILE
-    while i < n:
-        m = min(n - i, _TILE - off)
-        dest[i : i + m] = smax[off : off + m]
-        prod[i : i + m] = part[off : off + m]
-        i, off = i + m, 0
+    _presieve(dest, prod, a)
     top = int(np.searchsorted(base, isqrt(b), side="right"))
-    edge = min(top, int(np.searchsorted(base, max(13, n // _BAND_HITS), side="right")))
-    cut = min(edge, int(np.searchsorted(base, max(13, _icbrt(b)), side="right")))
+    edge = min(top, int(np.searchsorted(base, max(_TILE_TOP, n // _BAND_HITS), side="right")))
+    cut = min(edge, int(np.searchsorted(base, max(_TILE_TOP, _icbrt(b)), side="right")))
     for p in base[:cut].tolist():
-        k = _TILE_POWERS.get(p, 0) + 1
+        k = _PRESIEVED.get(p, 0) + 1
         q = p**k
         while q <= b:
             off = (-a) % q
@@ -343,7 +371,7 @@ def _fill_segment(dest: np.ndarray, a: int, b: int, base: np.ndarray) -> None:
 
 
 def _fill_band(s: np.ndarray, prod: np.ndarray | None, a: int, b: int, primes: np.ndarray) -> None:
-    """The strided loop's work for a block of primes p >= 17, a few numpy calls per power k.
+    """The strided loop's work for a block of primes p >= 29, a few numpy calls per power k.
 
     The offsets of the first multiple of p^k in the span are one vector; the
     hits of every prime are expanded from them at once and applied with

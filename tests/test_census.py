@@ -213,9 +213,9 @@ def test_trace_sum_reproduces_count():
 
 def test_trace_memory_follows_the_window_not_the_gap():
     # S is computed over the window and the window shifted by 2n, not over
-    # everything between them.  The tile is built once per process; build it
-    # first so the peak is the call's own.
-    table._tile()
+    # everything between them.  The tiles are built once per process; build
+    # them first so the peak is the call's own.
+    table._tiles()
     tracemalloc.start()
     try:
         rows = trace_terms(PairCountQuery(2 * 10**6 + 10, 10**6), (1, 4))
@@ -284,6 +284,13 @@ def test_published_prime_and_twin_counts(x, pi, twins):
     # 10^k - 1 is never prime, so "p <= x" and "p + 2 <= x" count the same pairs.
     counts = sample_counts(np.array([x]), [0, 2])
     assert counts[0].ravel().tolist() == [pi, twins]
+
+
+@pytest.mark.slow
+def test_published_prime_and_twin_counts_at_ten_to_the_ten():
+    # Minutes on two threads; 10^10 - 1 and 10^10 + 1 are composite.
+    counts = sample_counts(np.array([10**10]), [0, 2], threads=2)
+    assert counts[0].ravel().tolist() == [455_052_511, 27_412_679]
 
 
 # --- the uncorrected sum-from-1 reading ---------------------------------------
@@ -356,6 +363,25 @@ def test_one_tally_per_gap_serves_both_readings(monkeypatch):
     truth = pair_counts_at(np.arange(1001), [2, 4, 8, 14])
     literal_term = np.array([[1], [1], [0], [0]]) * (np.arange(1001) >= [[3], [5], [9], [15]])
     np.testing.assert_array_equal(counts, [truth, truth + literal_term])
+
+
+@pytest.mark.parametrize(
+    "segment_size, xs",
+    [
+        (7, [0, 1, 2, 3, 4, 5, 9, 10, 11, 40, 41, 43, 600, 2999, 3000]),
+        (65536, [0, 1, 4, 5, 50, 65535, 65536, 65537, 70_000, 131_073, 299_999, 300_000]),
+    ],
+)
+def test_sample_points_that_skip_segments_match_the_oracle(segment_size, xs):
+    # A segment lists its hits only up to its last sample point, and none
+    # when it holds no sample point; the points skip some segments whole
+    # and fall mid-segment, at its first entry and at its last in others.
+    xs = np.array(xs)
+    gaps = [0, 2, 6, 30]
+    with patch.object(table, "SEGMENT_SIZE", segment_size):
+        counts = sample_counts(xs, gaps)
+    np.testing.assert_array_equal(counts[0], pair_counts_at(xs, gaps))
+    np.testing.assert_array_equal(counts, sample_counts(np.arange(xs[-1] + 1), gaps)[:, :, xs])
 
 
 def test_literal_point_count_matches_sweep():

@@ -215,9 +215,9 @@ def test_table_csv_does_not_depend_on_segment_size_or_threads(runner):
 
 
 def _traced_peak(fn):
-    """The traced peak of fn(), with the pre-sieve tile (3.6 MB, built once
-    per process) made first so that it counts in none of the calls."""
-    table._tile()
+    """The traced peak of fn(), with the pre-sieve tiles (3.8 MB, built once
+    per process) made first so that they count in none of the calls."""
+    table._tiles()
     tracemalloc.start()
     try:
         result = fn()

@@ -120,12 +120,15 @@ def test_many_tiny_segments_keep_memory_bounded():
     assert (tab.values == s_range(1, 5000).values).all()
 
 
-# Windows around c * p^k for p <= 13, among them every k > p (where
-# S(p^k) < k * p) below 10^13, which keeps the base primes cheap; 13 first
-# reaches k > p at 13^14 (see below).  Windows around c * _TILE cross the
-# seam of the pre-sieve tile, and those within 16 of 2^32 the switch of the
-# kernel's working dtype from uint32 to uint64.
-_HIGH_POWERS = [p**k for p in (2, 3, 5, 7, 11, 13) for k in range(2, 64) if p**k < 10**13]
+# Windows around c * p^k for the tile primes p <= 23, among them every k > p
+# (where S(p^k) < k * p) below 10^13, which keeps the base primes cheap; 13
+# first reaches k > p at 13^14 (see below).  Windows around c * t for the
+# tile periods t and their product cross the seams of the pre-sieve tiles,
+# and those within 16 of 2^32 the switch of the kernel's working dtype from
+# uint32 to uint64.
+_HIGH_POWERS = [p**k for p in table._PRESIEVED for k in range(2, 64) if p**k < 10**13]
+_PERIODS = [smax.size for smax, _ in table._tiles()]
+_SEAMS = [*_PERIODS, _PERIODS[0] * _PERIODS[1]]
 
 
 @st.composite
@@ -135,7 +138,7 @@ def _windows(draw):
         st.one_of(
             st.integers(1, 3000),
             st.builds(lambda c, q: c * q, st.integers(1, 9), st.sampled_from(_HIGH_POWERS)),
-            st.builds(lambda c: c * table._TILE, st.integers(1, 30)),
+            st.builds(lambda c, t: c * t, st.integers(1, 30), st.sampled_from(_SEAMS)),
             st.integers(2**32 - 16, 2**32 + 16),
             st.integers(1, 10**12),
         )
@@ -166,6 +169,44 @@ def test_thirteen_past_the_exponent_bound():
             assert s_range(lo, lo + 6).values.tolist() == expected
 
 
+# sha256 of s_range(lo, hi, PAPER).to_bytes(): a change to the kernel keeps
+# every byte, whatever the thread count and the segment size.
+_ONE_TO_TEN_TO_THE_7 = "5912ced9c00497135328ce6f0209dfa143ce8af0b2a82d179332ec9363518ce5"
+_PINNED_WINDOWS = {
+    "1e9": (10**9, 10**9 + (1 << 20) - 1),
+    "1e12": (10**12, 10**12 + (1 << 20) - 1),
+    "13^14": (13**14 - 3, 13**14 + 3),
+    "2^32": (2**32 - 3 * 10**5, 2**32 + 3 * 10**5),
+}
+_WINDOW_DIGESTS = {
+    "1e9": "e6cc997ac8d8a723b78827acf8ace0d3a51add605863e1641b972c9fb9e1bd63",
+    "1e12": "4cc45aba5d91328d40c730b2bef3f06955d784d1a10db93f974b35b05b6e3842",
+    "13^14": "24d3db3f7c697be275d1ce1519bcb9557df4600c36e1050f374dc6f6f55c5ef9",
+    "2^32": "a426e040141039fbd02616ec17051352e59e4d430548b568b2306090ea3856f7",
+}
+_PINNED_DIGESTS = [
+    *(
+        pytest.param(1, 10**7, threads, size, _ONE_TO_TEN_TO_THE_7, id=f"1e7-{threads}-{size}")
+        for threads, size in [(1, None), (2, None), (1, 65536), (1, 1 << 20)]
+    ),
+    pytest.param(1, 10**7, 1, 7, _ONE_TO_TEN_TO_THE_7, id="1e7-1-7", marks=pytest.mark.slow),
+    *(
+        pytest.param(lo, hi, 1, None, _WINDOW_DIGESTS[name], id=name)
+        for name, (lo, hi) in _PINNED_WINDOWS.items()
+    ),
+]
+
+
+@pytest.mark.parametrize("lo, hi, threads, segment_size, digest", _PINNED_DIGESTS)
+def test_pinned_digests(lo, hi, threads, segment_size, digest):
+    with patch.object(table, "SEGMENT_SIZE", segment_size or table.SEGMENT_SIZE):
+        tab = s_range(lo, hi, PAPER, threads=threads)
+    sha = hashlib.sha256()
+    for chunk in table._chunks(tab.lo, tab.hi, tab.conv, [tab.values]):  # to_bytes() in pieces
+        sha.update(chunk)
+    assert sha.hexdigest() == digest
+
+
 def test_window_across_two_to_the_32():
     # Segments that end below 2^32 run in uint32, the rest in uint64.
     lo, hi = 2**32 - 300, 2**32 + 300
@@ -178,8 +219,9 @@ def test_window_across_two_to_the_32():
 
 @pytest.mark.parametrize("segment_size", [1 << 19, pytest.param(7, marks=pytest.mark.slow)])
 def test_tile_copy_wraps_inside_one_segment(segment_size):
-    # Segments of 2^20 entries are longer than the 720,720-entry tile: the
-    # one from 700,000 copies it in three pieces, across 720,720 and 1,441,440.
+    # Segments of 2^20 entries are longer than both tiles: the one from
+    # 700,000 starts in pieces that end at 1,330,560 (two periods of the
+    # first tile) and at each multiple of 96,577, the period of the second.
     with patch.object(table, "SEGMENT_SIZE", 1 << 20):
         wrapped = s_range(700_000, 2_200_000).to_bytes()
     with patch.object(table, "SEGMENT_SIZE", segment_size):
@@ -187,17 +229,73 @@ def test_tile_copy_wraps_inside_one_segment(segment_size):
 
 
 def test_tile_holds_s_and_gcd_over_its_powers():
-    # Entry i is S(g) and g for g = gcd(i, _TILE), with S(1) = 0.
-    smax, part = table._tile()
-    tile = table._TILE
-    assert tile == np.prod([p**e for p, e in table._TILE_POWERS.items()])
-    g = np.gcd(np.arange(tile), tile)
-    s_of = np.zeros(tile + 1, dtype=np.int64)
-    for d in np.unique(g).tolist():
-        s_of[d] = s(d, FORMULA)
-    assert (smax.dtype, part.dtype) == (np.uint8, np.uint32)
-    assert (part == g).all()
-    assert (smax == s_of[g]).all()
+    # Entry i of each tile is S(g) and g for g = gcd(i, t), t its period,
+    # with S(1) = 0; the two periods are coprime.
+    assert _PERIODS == [665_280, 96_577]
+    assert np.gcd(*_PERIODS) == 1
+    for powers, (smax, part) in zip(table._TILE_POWERS, table._tiles()):
+        period = int(np.prod([p**e for p, e in powers.items()]))
+        assert smax.size == part.size == period
+        g = np.gcd(np.arange(period), period)
+        s_of = np.zeros(period + 1, dtype=np.int64)
+        for d in sympy.divisors(period):
+            s_of[d] = s(d, FORMULA)
+        assert (smax.dtype, part.dtype) == (np.uint8, np.uint32)
+        assert not (smax.flags.writeable or part.flags.writeable)
+        assert (part == g).all()
+        assert (smax == s_of[g]).all()
+
+
+def _presieved(a, n, dtype):
+    dest, prod = np.empty(n, dtype), np.empty(n, dtype)
+    table._presieve(dest, prod, a)
+    return dest, prod
+
+
+def test_presieve_gives_both_tiles_gcds_in_the_dtype_of_dest():
+    # prod is gcd(j, t) * gcd(j, t') = gcd(j, t * t'), which exceeds 2^32 at
+    # the multiples of every divisor of t * t' from 2^32 on: a uint32
+    # multiply would wrap there.  dest is S of it.
+    both = _PERIODS[0] * _PERIODS[1]
+    s_of = dict(zip(sympy.divisors(both), (s(d, FORMULA) for d in sympy.divisors(both))))
+    rng = random.Random(21)
+    cases = [(rng.randrange(1, 2**40), rng.choice([1, 7, 1000, 1 << 19])) for _ in range(12)]
+    cases += [(rng.randrange(1, 2**31), 1 << 20)]
+    big = [d for d in sympy.divisors(both) if d >= 2**32]
+    assert len(big) == 14  # t * t' / d for d in 1..14
+    cases += [(c * d - 3, 7) for d in big for c in (1, 2, 5)]
+    for a, n in cases:
+        dtypes = [np.uint64] + [np.uint32] * (a + n <= 2**32)
+        for dtype in dtypes:
+            dest, prod = _presieved(a, n, dtype)
+            g = np.gcd(np.arange(a, a + n, dtype=np.uint64), np.uint64(both))
+            assert (prod == g).all(), (a, n, dtype)
+            divisors, at = np.unique(g, return_inverse=True)
+            assert (dest == np.array([s_of[d] for d in divisors.tolist()])[at]).all()
+
+
+@pytest.mark.parametrize("segment_size", [1, 7, table.SEGMENT_SIZE])
+def test_windows_across_the_tile_seams(segment_size):
+    for t in _SEAMS:
+        for c in (1, 2, 3):
+            lo, hi = c * t - 20, c * t + 20
+            with patch.object(table, "SEGMENT_SIZE", segment_size):
+                got = s_range(lo, hi).values.tolist()
+            assert got == [s(j) for j in range(lo, hi + 1)], (t, c)
+
+
+@pytest.mark.parametrize("segment_size", [1, 7])
+def test_tile_primes_past_their_tiles(segment_size):
+    # Every power past the tiles below 10^9, from 2^7, 3^4, 5^2, ... and
+    # 23^2 on, runs through the strided loop in segments of 1 and 7 entries.
+    for q in _HIGH_POWERS:
+        p = next(p for p in table._PRESIEVED if q % p == 0)
+        if q <= p ** table._PRESIEVED[p] or q > 10**9:
+            continue
+        lo, hi = q - 3, q + 3
+        with patch.object(table, "SEGMENT_SIZE", segment_size):
+            got = s_range(lo, hi).values.tolist()
+        assert got == [s(j) for j in range(lo, hi + 1)], q
 
 
 def _plain_sieve(limit):
