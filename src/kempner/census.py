@@ -29,18 +29,18 @@ both readings.  The readings differ only in the j = 1 term: the literal
 reading, where S(1) = 1 and the sum starts at j = 1, adds the term
 floor(S(1) S(1+2n) / (1+2n)) once x >= 1 + 2n.  That term is the
 fixed-point flag at 1 + 2n, read from the same stream (1 for gap 0, as
-S(1) = 1 is a fixed point).  All arithmetic is exact integers.
+S(1) = 1 is a fixed point).  All arithmetic is exact integers.  Nothing
+here reads :mod:`kempner.oracle`; only the CLI compares the two sides.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from time import perf_counter
 
 import numpy as np
 
 from .core import Convention, _as_i64, _as_u64
-from .oracle import oracle_pair_count, oracle_pi
 from .table import iter_segments, s_range
 
 __all__ = [
@@ -82,23 +82,14 @@ class PairCountQuery:
 
 @dataclass
 class CountReport:
-    """Outcome of a counting run.
-
-    ``oracle_count`` is filled only in verification mode; a mismatch does
-    not raise, it is flagged through :attr:`matches` so failed runs still
-    emit a report.
-    """
+    """Outcome of a counting run: the formula count, the composite-hit
+    correction already in it (0 or -1) and the wall time of the run.  Every
+    field after ``formula_count`` is keyword-only."""
 
     formula_count: int
-    oracle_count: int | None = None
+    _: KW_ONLY
     correction_applied: int = 0
     elapsed: float = 0.0
-
-    @property
-    def matches(self) -> bool | None:
-        if self.oracle_count is None:
-            return None
-        return self.formula_count == self.oracle_count
 
 
 def pair_term(j: int, half_gap: int, s_j: int, s_j2n: int) -> int:
@@ -164,21 +155,18 @@ def _stream(x: int, tallies: list[_Tally], threads: int) -> None:
             tally.feed(a, flags)
 
 
-def _count(x: int, gap: int, literal: bool, oracle, threads: int) -> CountReport:
+def _count(x: int, gap: int, literal: bool, threads: int) -> CountReport:
     """The count at one x (gap 0 counts primes), read from :func:`sample_counts`."""
     started = perf_counter()
     counts = sample_counts(np.array([x]), [gap], threads=threads)
     return CountReport(
         formula_count=int(counts[int(literal), 0, 0]),
-        oracle_count=oracle() if oracle else None,
         correction_applied=-int(x >= _COMPOSITE_HITS.get(gap, x + 1)),
         elapsed=perf_counter() - started,
     )
 
 
-def count_twin(
-    x: int, *, verify: bool = False, literal: bool = False, threads: int = 1
-) -> CountReport:
+def count_twin(x: int, *, literal: bool = False, threads: int = 1) -> CountReport:
     """Exact number of twin prime pairs (p, p + 2) with p + 2 <= x.
 
     The summation runs to x - 2, i.e. the larger member is <= x.  One -1
@@ -187,16 +175,10 @@ def count_twin(
     from j = 1 with S(1) = 1, which overcounts by the documented j = 1
     anomaly; counts then exceed the sieve by 1 for every x >= 3.
     """
-    return count_pairs(PairCountQuery(x, 1), verify=verify, literal=literal, threads=threads)
+    return count_pairs(PairCountQuery(x, 1), literal=literal, threads=threads)
 
 
-def count_pairs(
-    query: PairCountQuery,
-    *,
-    verify: bool = False,
-    literal: bool = False,
-    threads: int = 1,
-) -> CountReport:
+def count_pairs(query: PairCountQuery, *, literal: bool = False, threads: int = 1) -> CountReport:
     """Exact number of prime pairs (p, p + 2n) with p + 2n <= x.
 
     For half_gap >= 2 no correction term is needed: among j >= 2 the only
@@ -205,11 +187,10 @@ def count_pairs(
     j = 1 term is included under S(1) = 1 and overcounts by one whenever
     2n + 1 is prime; that mode exists to be reported, not corrected.
     """
-    oracle = (lambda: oracle_pair_count(query.x, query.half_gap)) if verify else None
-    return _count(query.x, query.gap, literal, oracle, threads)
+    return _count(query.x, query.gap, literal, threads)
 
 
-def count_primes(x: int, *, verify: bool = False, threads: int = 1) -> CountReport:
+def count_primes(x: int, *, threads: int = 1) -> CountReport:
     """pi(x) as the sum of floor(S(j)/j) for j in [2, x], minus 1 once x >= 4.
 
     For j >= 2 the summand is the fixed-point indicator, which hits every
@@ -218,8 +199,7 @@ def count_primes(x: int, *, verify: bool = False, threads: int = 1) -> CountRepo
     the sum starts at j = 2.
     """
     x = _as_i64(x, "x")
-    oracle = (lambda: oracle_pi(x)) if verify else None
-    return _count(x, 0, False, oracle, threads)
+    return _count(x, 0, False, threads)
 
 
 def trace_terms(
@@ -262,9 +242,12 @@ def sample_counts(xs: np.ndarray, gaps: list[int], *, threads: int = 1) -> np.nd
     :func:`count_primes` does.  One tally per gap serves both readings: the
     literal count is the default count plus the j = 1 term, the flag at
     1 + 2n read from the stream, from x = 1 + 2n on.  ``xs = np.arange(x + 1)``
-    gives every count up to x.
+    gives every count up to x.  The gaps and the shape of xs are checked as
+    :func:`kempner.oracle.pair_counts_at` checks them, with its messages.
     """
     xs = np.asarray(xs)
+    if xs.ndim != 1:
+        raise ValueError(f"xs must be one-dimensional (got {xs.ndim} dimensions)")
     if xs.size and xs.dtype.kind not in "iu":
         raise TypeError(f"sample points must be integers (got dtype {xs.dtype})")
     if xs.size and xs.dtype.kind == "u":  # int64 would wrap these negative
@@ -272,6 +255,10 @@ def sample_counts(xs: np.ndarray, gaps: list[int], *, threads: int = 1) -> np.nd
     xs = xs.astype(np.int64, copy=False)
     if xs.size and (xs[0] < 0 or (np.diff(xs) < 0).any()):
         raise ValueError("sample points must be ascending and >= 0")
+    gaps = [_as_i64(gap, "gap") for gap in gaps]
+    for gap in gaps:
+        if gap % 2:
+            raise ValueError(f"gap must be even (got {gap})")
     top = int(xs[-1]) if xs.size else 0
     # No pair up to top has a gap of top or more, so such a gap counts as top
     # does and carries no more than top flags; its term lies past top.

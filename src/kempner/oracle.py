@@ -97,7 +97,7 @@ def oracle_pi(x: int, sieve: np.ndarray | None = None) -> int:
 
 def oracle_pair_count(x: int, half_gap: int, sieve: np.ndarray | None = None) -> int:
     """Number of prime pairs (p, p + 2n) with p + 2n <= x, by sieve scan."""
-    x = _as_u64(x, "x")
+    x = _as_i64(x, "x")
     half_gap = _as_u64(half_gap, "half_gap", minimum=1)
     return int(pair_counts_at(np.array([x]), [2 * half_gap], sieve)[0, 0])
 
@@ -117,6 +117,8 @@ def pair_counts_at(
     which with the gaps are checked to lie in [0, 2^63) before any sieving.
     """
     xs = np.asarray(xs)
+    if xs.ndim != 1:
+        raise ValueError(f"xs must be one-dimensional (got {xs.ndim} dimensions)")
     max_x = _as_i64(int(xs.max()) if xs.size else 0, "max(xs)")
     if xs.size and xs.min() < 0:
         raise ValueError(f"xs must be >= 0 (got {int(xs.min())})")

@@ -20,7 +20,7 @@ from kempner.census import (
     trace_terms,
 )
 from kempner.core import Convention, is_prime, s
-from kempner.oracle import pair_counts_at
+from kempner.oracle import oracle_pair_count, oracle_pi, pair_counts_at
 from kempner.table import s_range
 
 PAPER = Convention.PAPER_LITERAL
@@ -85,10 +85,7 @@ def test_count_twin_examples():
 
 
 def test_count_twin_verify_mode():
-    report = count_twin(1000, verify=True)
-    assert report.oracle_count == 35
-    assert report.matches is True
-    assert count_twin(1000).matches is None
+    assert count_twin(1000).formula_count == oracle_pair_count(1000, 1) == 35
 
 
 def test_count_twin_correction_gate():
@@ -143,8 +140,7 @@ def test_count_pairs_no_correction_for_wider_gaps():
 
 def test_count_pairs_verify_sample():
     for n in (2, 3, 4, 7):
-        report = count_pairs(PairCountQuery(2500, n), verify=True)
-        assert report.matches is True, n
+        assert count_pairs(PairCountQuery(2500, n)).formula_count == oracle_pair_count(2500, n), n
 
 
 # --- count_primes ------------------------------------------------------------
@@ -158,7 +154,7 @@ def test_count_primes_examples():
 
 
 def test_count_primes_verify_and_sweep(sieve_100k):
-    assert count_primes(3000, verify=True).matches is True
+    assert count_primes(3000).formula_count == oracle_pi(3000)
     sweep = sample_counts(np.arange(3001), [0])[0, 0]
     truth = pair_counts_at(np.arange(3001), [0], sieve_100k)[0]
     assert (sweep == truth).all()
@@ -325,7 +321,7 @@ def _literal_case(draw):
     xs = sorted(draw(st.lists(st.integers(0, 90), min_size=1, max_size=12)))
     xs = sorted(xs + draw(st.sampled_from([[], [0], [1], [0, 1], [xs[-1]]])))
     gaps = draw(st.lists(st.sampled_from(_LITERAL_GAPS), min_size=1, max_size=3))
-    gaps.append(xs[-1] + 2 + 2 * draw(st.integers(0, 3)))  # past max(xs)
+    gaps.append(2 * (xs[-1] // 2 + 1 + draw(st.integers(0, 3))))  # even, past max(xs)
     gap = draw(st.sampled_from(gaps))
     segment_size = draw(st.sampled_from([1, 7, max(1, gap - 1), gap + 1]))
     return np.array(xs), gaps, segment_size, draw(st.sampled_from([1, 2]))
@@ -438,14 +434,33 @@ def test_counts_reject_x_and_gaps_from_2_63_before_any_work():
     with patch("kempner.census.iter_segments", side_effect=AssertionError("streamed")):
         for count in (
             lambda: count_twin(2**63),
-            lambda: count_twin(2**63, verify=True),
-            lambda: count_primes(2**63, verify=True),
+            lambda: oracle_pair_count(2**63, 1),
+            lambda: oracle_pi(2**63),
             lambda: count_pairs(PairCountQuery(2**63, 1)),
         ):
             with pytest.raises(ValueError, match="x must be below 2\\^63"):
                 count()
         with pytest.raises(ValueError, match="gap must be below 2\\^63"):
             PairCountQuery(100, 2**62)
+
+
+@pytest.mark.parametrize("counts", [sample_counts, pair_counts_at])
+@pytest.mark.parametrize(
+    "xs, gaps, message",
+    [
+        (np.arange(20), [3], "gap must be even (got 3)"),
+        (np.arange(20), [2**63], f"gap must be below 2^63 (got {2**63})"),
+        (np.arange(20), [-2], "gap must be >= 0 (got -2)"),
+        (np.int64(10), [2], "xs must be one-dimensional (got 0 dimensions)"),
+        (np.arange(20).reshape(4, 5), [2], "xs must be one-dimensional (got 2 dimensions)"),
+    ],
+    ids=["odd-gap", "gap-2^63", "negative-gap", "0-d-xs", "2-d-xs"],
+)
+def test_both_sides_reject_bad_gaps_and_xs_alike(counts, xs, gaps, message):
+    # Unchecked, gap 3 counts (2, 5) and the non-pair (4, 7) at x = 19.
+    with pytest.raises(ValueError) as caught:
+        counts(xs, gaps)
+    assert str(caught.value) == message
 
 
 # --- invariance over segment size and thread count ------------------------------

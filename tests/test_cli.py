@@ -285,7 +285,9 @@ def test_table_csv_unwritable_out_exits_before_any_work(runner, monkeypatch):
                                               (["pairs", "100", "--gap", "4"], "count_pairs"),
                                               (["pi", "100"], "count_primes")])
 def test_verified_count_mismatch_exits_one(runner, monkeypatch, command, counter):
-    monkeypatch.setattr(census, counter, lambda *args, **kwargs: census.CountReport(5, 6))
+    monkeypatch.setattr(census, counter, lambda *args, **kwargs: census.CountReport(5))
+    for truth in ("oracle_pair_count", "oracle_pi"):
+        monkeypatch.setattr(oracle, truth, lambda *args, **kwargs: 6)
     result = runner.invoke(main, command + ["--verify"])
     assert result.exit_code == 1
     assert result.output.splitlines()[1].endswith(",5,6,false")

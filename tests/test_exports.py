@@ -1,8 +1,12 @@
-"""The public API: every name a module exports resolves in it."""
+"""The public API: every name a module exports resolves in it, and the README's example runs."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.mark.parametrize(
@@ -13,3 +17,9 @@ def test_every_exported_name_resolves(module):
     # `from kempner import *` and every tool that walks the public API.
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_readme_library_example_runs():
+    # A trimmed API must not leave a documented call that raises.
+    (example,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+    exec(compile(example, str(README), "exec"), {})

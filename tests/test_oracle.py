@@ -196,6 +196,21 @@ def test_oracle_imports_only_the_argument_checks():
     assert ours == {("core", "_as_i64"), ("core", "_as_u64")}
 
 
+@pytest.mark.parametrize("module", ["core", "table", "census"])
+def test_formula_side_never_imports_the_oracle(module):
+    # Only the CLI and the tests compare the two sides; a count that called
+    # the oracle would check itself.
+    path = Path(oracle.__file__).with_name(f"{module}.py")
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        assert not any("oracle" in name.split(".") for name in names), names
+
+
 @pytest.mark.slow
 def test_published_counts_past_the_old_cap():
     # pi and pi_2 at 10^10 (OEIS A006880, A007508); 10^10 +- 1 are composite,
