@@ -242,7 +242,7 @@ def sample_counts(xs: np.ndarray, gaps: list[int], *, threads: int = 1) -> np.nd
     :func:`count_primes` does.  One tally per gap serves both readings: the
     literal count is the default count plus the j = 1 term, the flag at
     1 + 2n read from the stream, from x = 1 + 2n on.  ``xs = np.arange(x + 1)``
-    gives every count up to x.  The gaps and the shape of xs are checked as
+    gives every count up to x.  xs and the gaps are checked as
     :func:`kempner.oracle.pair_counts_at` checks them, with its messages.
     """
     xs = np.asarray(xs)

@@ -2,11 +2,12 @@
 
 A classic segmented, odd-only sieve of Eratosthenes (Bays & Hudson, BIT 17,
 1977): one bool flag per odd number, marked segment by segment in one reused
-buffer.  Every count streams the segments; only :func:`sieve_primes` keeps
-them all, under a memory cap: a read-only bool array whose entry k is the
-primality of 2k + 1, which every count accepts as its ``sieve``.  Nothing
-here shares a code path with the kernels under test; only the integer
-argument checks come from core.
+buffer, with base primes read from the same stream up to the square root.
+Every count streams the segments; only :func:`sieve_primes` keeps them all,
+under a memory cap: a read-only bool array whose entry k is the primality of
+2k + 1, which every count accepts as its ``sieve``.  Nothing here shares a
+code path with the kernels under test; only the integer argument checks
+come from core.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def _segments(limit: int, sieve: np.ndarray | None = None):
     """Yield ``(k0, seg)`` in order, ``seg[i]`` the primality of the odd number
     2(k0 + i) + 1 <= limit: views of a :func:`sieve_primes` array, which must
     reach limit, or else one buffer marked anew at each step by the odd
-    primes up to isqrt(limit)."""
+    primes up to isqrt(limit), which this stream itself yields."""
     n_odd = (limit + 1) // 2
     if sieve is not None:
         if n_odd > sieve.size:
@@ -56,8 +57,8 @@ def _segments(limit: int, sieve: np.ndarray | None = None):
         for k0 in range(0, n_odd, SEGMENT_SIZE):
             yield k0, sieve[k0 : min(k0 + SEGMENT_SIZE, n_odd)]
         return
-    root = isqrt(limit)
-    base = [] if root < 3 else (2 * np.flatnonzero(sieve_primes(root)) + 1).tolist()
+    roots = _segments(isqrt(limit)) if limit >= 9 else ()  # 3 is the least odd prime
+    base = [p for k, seg in roots for p in (2 * (k + np.flatnonzero(seg)) + 1).tolist()]
     buffer = np.empty(min(SEGMENT_SIZE, n_odd), dtype=bool)
     for k0 in range(0, n_odd, SEGMENT_SIZE):
         seg = buffer[: min(SEGMENT_SIZE, n_odd - k0)]
@@ -105,32 +106,34 @@ def oracle_pair_count(x: int, half_gap: int, sieve: np.ndarray | None = None) ->
 def pair_counts_at(
     xs: np.ndarray, gaps: list[int], sieve: np.ndarray | None = None
 ) -> np.ndarray:
-    """Prime and pair counts at sampled x, in any order: ``counts[k, i]``
+    """Prime and pair counts at ascending sample points: ``counts[k, i]``
     counts the prime pairs (p, p + gaps[k]) with p + gaps[k] <= xs[i], and
     for gap 0 the primes p <= xs[i], i.e. pi(xs[i]).
 
     Both members of a pair are odd, as the gap is even, so one pass over
     the streamed segments pairs odd k with k + gap/2, each gap carrying its
-    last gap/2 flags (none when no pair fits under max(xs)) from segment to
+    last gap/2 flags (none when no pair fits under xs[-1]) from segment to
     segment; gap 0 counts the flags and adds the prime 2 from x = 2 on.
-    Memory is O(SEGMENT_SIZE + gaps + pi(sqrt(max(xs)))) besides the xs,
-    which with the gaps are checked to lie in [0, 2^63) before any sieving.
+    Memory is O(SEGMENT_SIZE + gaps + pi(sqrt(xs[-1]))) besides the xs.
+    The xs and gaps are checked before any sieving, in the order and words
+    of :func:`kempner.census.sample_counts`.
     """
     xs = np.asarray(xs)
     if xs.ndim != 1:
         raise ValueError(f"xs must be one-dimensional (got {xs.ndim} dimensions)")
-    max_x = _as_i64(int(xs.max()) if xs.size else 0, "max(xs)")
-    if xs.size and xs.min() < 0:
-        raise ValueError(f"xs must be >= 0 (got {int(xs.min())})")
     if xs.size and xs.dtype.kind not in "iu":
-        raise TypeError(f"xs must be integers (got dtype {xs.dtype})")
+        raise TypeError(f"sample points must be integers (got dtype {xs.dtype})")
+    if xs.size and xs.dtype.kind == "u":  # int64 would wrap these negative
+        _as_i64(int(xs.max()), "max(xs)")
+    xs = xs.astype(np.int64, copy=False)
+    if xs.size and (xs[0] < 0 or (np.diff(xs) < 0).any()):
+        raise ValueError("sample points must be ascending and >= 0")
     gaps = [_as_i64(gap, "gap") for gap in gaps]
     for gap in gaps:
         if gap % 2:
             raise ValueError(f"gap must be even (got {gap})")
-    xs = xs.astype(np.int64)
-    order = np.argsort(xs, kind="stable")
-    ks = (xs[order] + 1) // 2  # each sorted x counts the hits at odd index k < ks
+    max_x = int(xs[-1]) if xs.size else 0
+    ks = (xs + 1) // 2  # each x counts the hits at odd index k < ks
     n_odd = (max_x + 1) // 2
     tails = {k: np.zeros(gap // 2, dtype=bool) for k, gap in enumerate(gaps) if gap // 2 < n_odd}
     seen = dict.fromkeys(tails, 0)
@@ -149,7 +152,7 @@ def pair_counts_at(
             tail[: h - m] = tail[m:]
             tail[h - m :] = seg[n - m :]
             hits = np.flatnonzero(pair[:n])
-            counts[k, order[lo:hi]] = seen[k] + np.searchsorted(hits, ks[lo:hi] - k0)
+            counts[k, lo:hi] = seen[k] + np.searchsorted(hits, ks[lo:hi] - k0)
             seen[k] += hits.size
         lo = hi
     counts[np.array(gaps, dtype=np.int64) == 0] += xs >= 2

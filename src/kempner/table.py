@@ -55,6 +55,7 @@ from __future__ import annotations
 import operator
 import os
 import struct
+from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -229,16 +230,6 @@ class STable:
         return cls.from_bytes(blob)
 
 
-def _icbrt(n: int) -> int:
-    """The integer cube root of n >= 0: the largest k with k**3 <= n."""
-    k = round(n ** (1 / 3))  # a float root, within a few units of k below 2^64
-    while k**3 > n:
-        k -= 1
-    while (k + 1) ** 3 <= n:
-        k += 1
-    return k
-
-
 @cache
 def _tiles() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The pre-sieve tiles: (S, ``prod``) over the powers of each dict of _TILE_POWERS.
@@ -333,7 +324,8 @@ def _fill_segment(dest: np.ndarray, a: int, b: int, base: np.ndarray) -> None:
     _presieve(dest, prod, a)
     top = int(np.searchsorted(base, isqrt(b), side="right"))
     edge = min(top, int(np.searchsorted(base, max(_TILE_TOP, n // _BAND_HITS), side="right")))
-    cut = min(edge, int(np.searchsorted(base, max(_TILE_TOP, _icbrt(b)), side="right")))
+    # base[:cut]: the primes of base[:edge] with p <= 23 or p^3 <= b, exact for any b.
+    cut = bisect_right(base, b, hi=edge, key=lambda p: 0 if p <= _TILE_TOP else int(p) ** 3)
     for p in base[:cut].tolist():
         k = _PRESIEVED.get(p, 0) + 1
         q = p**k

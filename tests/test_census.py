@@ -446,21 +446,39 @@ def test_counts_reject_x_and_gaps_from_2_63_before_any_work():
 
 @pytest.mark.parametrize("counts", [sample_counts, pair_counts_at])
 @pytest.mark.parametrize(
-    "xs, gaps, message",
+    "xs, gaps, error, message",
     [
-        (np.arange(20), [3], "gap must be even (got 3)"),
-        (np.arange(20), [2**63], f"gap must be below 2^63 (got {2**63})"),
-        (np.arange(20), [-2], "gap must be >= 0 (got -2)"),
-        (np.int64(10), [2], "xs must be one-dimensional (got 0 dimensions)"),
-        (np.arange(20).reshape(4, 5), [2], "xs must be one-dimensional (got 2 dimensions)"),
+        (np.arange(20), [3], ValueError, "gap must be even (got 3)"),
+        (np.arange(20), [2**63], ValueError, f"gap must be below 2^63 (got {2**63})"),
+        (np.arange(20), [-2], ValueError, "gap must be >= 0 (got -2)"),
+        (np.int64(10), [2], ValueError, "xs must be one-dimensional (got 0 dimensions)"),
+        (np.arange(20).reshape(4, 5), [2], ValueError, "xs must be one-dimensional (got 2 dimensions)"),
+        (np.array([1.0, np.nan]), [2], TypeError, "sample points must be integers (got dtype float64)"),
+        (np.array([1.0, 1e19]), [2], TypeError, "sample points must be integers (got dtype float64)"),
+        (np.array([True, False]), [2], TypeError, "sample points must be integers (got dtype bool)"),
+        (np.array([2**64]), [2], TypeError, "sample points must be integers (got dtype object)"),
+        (np.array([-5, 3]), [2], ValueError, "sample points must be ascending and >= 0"),
+        (np.array([5, 3]), [2], ValueError, "sample points must be ascending and >= 0"),
     ],
-    ids=["odd-gap", "gap-2^63", "negative-gap", "0-d-xs", "2-d-xs"],
+    ids=[
+        "odd-gap",
+        "gap-2^63",
+        "negative-gap",
+        "0-d-xs",
+        "2-d-xs",
+        "nan-xs",
+        "float-xs-past-2^63",
+        "bool-xs",
+        "xs-past-64-bits",
+        "negative-xs",
+        "descending-xs",
+    ],
 )
-def test_both_sides_reject_bad_gaps_and_xs_alike(counts, xs, gaps, message):
+def test_both_sides_reject_bad_gaps_and_xs_alike(counts, xs, gaps, error, message):
     # Unchecked, gap 3 counts (2, 5) and the non-pair (4, 7) at x = 19.
-    with pytest.raises(ValueError) as caught:
+    with pytest.raises(error) as caught:
         counts(xs, gaps)
-    assert str(caught.value) == message
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 # --- invariance over segment size and thread count ------------------------------

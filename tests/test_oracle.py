@@ -88,7 +88,7 @@ def test_check_limit_counts_the_unpacked_flags(monkeypatch):
 
 def test_segmentation_does_not_change_flags(monkeypatch, sieve_100k):
     # Segments of 1 and 7 flags are shorter than the carried tails of gaps 30 and 998.
-    xs = np.array([5000, 0, 2, 1999, 7, 4001, 1, 3, 4001])
+    xs = np.array([0, 1, 2, 3, 7, 1999, 4001, 4001, 5000])
     gaps = [0, 2, 30, 998]
     counts = pair_counts_at(xs, gaps, sieve_100k)
     pis = [oracle_pi(int(x), sieve_100k) for x in xs]
@@ -98,6 +98,25 @@ def test_segmentation_does_not_change_flags(monkeypatch, sieve_100k):
         assert sieve_primes(200).tolist() == [is_prime(n) for n in range(1, 201, 2)]
         assert (pair_counts_at(xs, gaps) == counts).all(), segment_size
         assert [oracle_pi(int(x)) for x in xs] == pis, segment_size
+
+
+@pytest.mark.parametrize(
+    "segment_size, x, pi, twins",
+    [(7, 10**5, 9592, 1224), (oracle.SEGMENT_SIZE, 10**6, 78498, 8169)],
+    ids=["segment-7", "default-segment"],
+)
+def test_counts_stream_their_own_base_primes(monkeypatch, segment_size, x, pi, twins):
+    # No count calls the materializing sieve_primes; at 7 the base primes span many segments.
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("a count called sieve_primes")
+
+    monkeypatch.setattr(oracle, "sieve_primes", no_sieve)
+    monkeypatch.setattr(oracle, "SEGMENT_SIZE", segment_size)
+    assert oracle_pi(x) == pi
+    assert oracle_pair_count(x, 1) == twins
+    sweep = pair_counts_at(np.arange(0, x + 1, x // 100), [0, 2])
+    tenth = [oracle_pi(x // 10), oracle_pair_count(x // 10, 1)]
+    assert sweep[:, [10, -1]].tolist() == [[tenth[0], pi], [tenth[1], twins]]
 
 
 def test_oracle_pair_count_examples():
@@ -141,10 +160,10 @@ def test_gap_zero_counts_primes_as_oracle_pi(sieve_100k):
     xs = np.arange(3001)
     pi = [oracle_pi(x, sieve_100k) for x in range(3001)]
     assert pair_counts_at(xs, [0], sieve_100k)[0].tolist() == pi
-    # Beside pair gaps in one call, at duplicate and unordered xs, and below 2.
-    xs = np.array([1000, 2, 2, 0, 1, 3000, 1000])
+    # Beside pair gaps in one call, at duplicate xs, and below 2.
+    xs = np.array([0, 1, 2, 2, 1000, 1000, 3000])
     counts = pair_counts_at(xs, [2, 0, 998, 0])
-    assert counts[1].tolist() == counts[3].tolist() == [168, 1, 1, 0, 0, 430, 168]
+    assert counts[1].tolist() == counts[3].tolist() == [0, 0, 1, 1, 168, 168, 430]
     for row, gap in zip(counts[[0, 2]], (2, 998)):
         assert row.tolist() == [oracle_pair_count(int(x), gap // 2, sieve_100k) for x in xs]
     for max_x in (0, 1):
@@ -226,7 +245,7 @@ def test_pair_sweep_matches_point_counts(sieve_100k):
 
 
 def test_pair_counts_at_sampled_x_match_point_counts(sieve_100k):
-    xs = np.array([0, 1, 5, 8, 100, 1234, 99_999, 4000, 7])  # any order
+    xs = np.array([0, 1, 5, 7, 8, 100, 1234, 4000, 99_999])
     gaps = [2, 4, 6, 30, 200_000]
     counts = pair_counts_at(xs, gaps, sieve_100k)
     assert counts.shape == (len(gaps), xs.size)
@@ -265,16 +284,16 @@ def test_pair_counts_at_rejects_2_63_before_sieving(monkeypatch):
     def no_sieve(*args, **kwargs):
         raise AssertionError("sieved before the arguments were checked")
 
-    monkeypatch.setattr(oracle, "sieve_primes", no_sieve)
+    monkeypatch.setattr(oracle, "_segments", no_sieve)
     for xs, gaps, name in (([2**63], [2], "max\\(xs\\)"), ([100], [2**63], "gap")):
         with pytest.raises(ValueError, match=f"{name} must be below 2\\^63"):
             pair_counts_at(xs, gaps)
     for xs in ([-5], [-5, 3]):
-        with pytest.raises(ValueError, match="must be >= 0"):
+        with pytest.raises(ValueError, match="ascending and >= 0"):
             pair_counts_at(np.array(xs), [0])
     with pytest.raises(ValueError, match="even"):
         pair_counts_at([100], [2, 7])
-    with pytest.raises(ValueError, match="64 bits"):
+    with pytest.raises(TypeError, match="integers"):  # an object array: past 64 bits
         pair_counts_at([2**64], [2])
     for xs in ([10.9, 100.5], [True, False]):  # once read as the counts at 10 and 100
         with pytest.raises(TypeError, match="integers"):

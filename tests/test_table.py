@@ -344,16 +344,6 @@ def test_large_window_identical_over_threads_and_segments():
     assert tab.values.tolist() == [s(j) for j in range(lo, lo + 201)]
 
 
-def test_integer_cube_root_is_exact_over_u64():
-    icbrt = table._icbrt
-    assert [icbrt(n) for n in range(9)] == [0, 1, 1, 1, 1, 1, 1, 1, 2]
-    # 2,642,245 is the cube root of 2^64 - 1, rounded down.
-    for k in range(1, 2_642_246):
-        cube = k * k * k
-        assert (icbrt(cube - 1), icbrt(cube), icbrt(cube + 1)) == (k - 1, k, k), k
-    assert icbrt(2**64 - 1) == 2_642_245
-
-
 # The split primes of a segment that ends at b are the base primes in
 # (max(13, cbrt(b)), sqrt(b)]; they keep no product.  Centres near x of the
 # forms m*q*q', m*q^2 and q*P put q among the first primes above cbrt(x) or
@@ -362,7 +352,7 @@ def test_integer_cube_root_is_exact_over_u64():
 # one, or one of segments of 1 or 7 entries, sends it through the bulk pass.
 def _split_centre(x, above_cbrt, i, form):
     if above_cbrt:
-        q = sympy.nextprime(max(13, table._icbrt(x)), i + 1)
+        q = sympy.nextprime(max(13, sympy.integer_nthroot(x, 3)[0]), i + 1)
         inner = sympy.nextprime(q)
     else:
         q = sympy.prevprime(isqrt(x) + 1)
@@ -411,7 +401,8 @@ def test_split_primes_on_the_strided_path(x, above_cbrt, form):
         q, centre = _split_centre(x, above_cbrt, i, form)
         hi = max(centre, q * q) + 16  # one segment that holds the centre, with q <= sqrt(hi)
         lo = hi - 128 * (q + 1) + 1
-        assert max(13, table._icbrt(hi)) < q <= min(isqrt(hi), (hi - lo + 1) // table._BAND_HITS)
+        cbrt = sympy.integer_nthroot(hi, 3)[0]
+        assert max(13, cbrt) < q <= min(isqrt(hi), (hi - lo + 1) // table._BAND_HITS)
         window = range(centre - 16, centre + 17)
         tab = s_range(lo, hi)
         got = tab.values[window.start - lo : window.stop - lo].tolist()
