@@ -40,7 +40,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .core import Convention, _as_i64, _as_u64
+from .core import Convention, _as_i64, _as_u64, _sample_points
 from .table import iter_segments, s_range
 
 __all__ = [
@@ -145,16 +145,6 @@ class _Tally:
         self.seen += np.count_nonzero(pair)
 
 
-def _stream(x: int, tallies: list[_Tally], threads: int) -> None:
-    """Feed every tally the fixed-point flags of j in [1, x], S(1) = 0 unset, from one pass over S."""
-    if x < 1:
-        return
-    for a, values in iter_segments(1, x, Convention.FORMULA_CONSISTENT, threads=threads):
-        flags = values == np.arange(a, a + values.size, dtype=values.dtype)
-        for tally in tallies:
-            tally.feed(a, flags)
-
-
 def _count(x: int, gap: int, literal: bool, threads: int) -> CountReport:
     """The count at one x (gap 0 counts primes), read from :func:`sample_counts`."""
     started = perf_counter()
@@ -242,28 +232,20 @@ def sample_counts(xs: np.ndarray, gaps: list[int], *, threads: int = 1) -> np.nd
     :func:`count_primes` does.  One tally per gap serves both readings: the
     literal count is the default count plus the j = 1 term, the flag at
     1 + 2n read from the stream, from x = 1 + 2n on.  ``xs = np.arange(x + 1)``
-    gives every count up to x.  xs and the gaps are checked as
-    :func:`kempner.oracle.pair_counts_at` checks them, with its messages.
+    gives every count up to x.  xs and the gaps are checked by
+    :func:`kempner.core._sample_points`, as for :func:`kempner.oracle.pair_counts_at`.
     """
-    xs = np.asarray(xs)
-    if xs.ndim != 1:
-        raise ValueError(f"xs must be one-dimensional (got {xs.ndim} dimensions)")
-    if xs.size and xs.dtype.kind not in "iu":
-        raise TypeError(f"sample points must be integers (got dtype {xs.dtype})")
-    if xs.size and xs.dtype.kind == "u":  # int64 would wrap these negative
-        _as_i64(int(xs.max()), "max(xs)")
-    xs = xs.astype(np.int64, copy=False)
-    if xs.size and (xs[0] < 0 or (np.diff(xs) < 0).any()):
-        raise ValueError("sample points must be ascending and >= 0")
-    gaps = [_as_i64(gap, "gap") for gap in gaps]
-    for gap in gaps:
-        if gap % 2:
-            raise ValueError(f"gap must be even (got {gap})")
+    _as_u64(threads, "threads", minimum=1)  # also where no segment is streamed
+    xs, gaps = _sample_points(xs, gaps)
     top = int(xs[-1]) if xs.size else 0
     # No pair up to top has a gap of top or more, so such a gap counts as top
     # does and carries no more than top flags; its term lies past top.
     tallies = [_Tally(min(gap, top), xs) for gap in gaps]
-    _stream(top, tallies, threads)
+    if top:  # one pass over S feeds the flags of j in [1, top]; S(1) = 0 leaves j = 1 unset
+        for a, values in iter_segments(1, top, Convention.FORMULA_CONSISTENT, threads=threads):
+            flags = values == np.arange(a, a + values.size, dtype=values.dtype)
+            for tally in tallies:
+                tally.feed(a, flags)
     counts = np.empty((2, len(gaps), xs.size), dtype=np.int64)
     for k, (gap, tally) in enumerate(zip(gaps, tallies)):
         counts[:, k] = tally.counts

@@ -63,6 +63,27 @@ def _as_i64(value, name: str, minimum: int = 0) -> int:
     return value
 
 
+def _sample_points(xs, gaps) -> tuple[np.ndarray, list[int]]:
+    """Check the sample points and gaps of a count on either side: xs one-dimensional,
+    integer, ascending and in [0, 2^63), each gap even and below 2^63.  Returns xs as
+    int64 and the gaps as ints."""
+    xs = np.asarray(xs)
+    if xs.ndim != 1:
+        raise ValueError(f"xs must be one-dimensional (got {xs.ndim} dimensions)")
+    if xs.size and xs.dtype.kind not in "iu":
+        raise TypeError(f"sample points must be integers (got dtype {xs.dtype})")
+    if xs.size and xs.dtype.kind == "u":  # int64 would wrap these negative
+        _as_i64(int(xs.max()), "max(xs)")
+    xs = xs.astype(np.int64, copy=False)
+    if xs.size and (xs[0] < 0 or (np.diff(xs) < 0).any()):
+        raise ValueError("sample points must be ascending and >= 0")
+    gaps = [_as_i64(gap, "gap") for gap in gaps]
+    for gap in gaps:
+        if gap % 2:
+            raise ValueError(f"gap must be even (got {gap})")
+    return xs, gaps
+
+
 class Convention(Enum):
     """Treatment of S(1).
 

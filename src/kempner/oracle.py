@@ -6,8 +6,9 @@ buffer, with base primes read from the same stream up to the square root.
 Every count streams the segments; only :func:`sieve_primes` keeps them all,
 under a memory cap: a read-only bool array whose entry k is the primality of
 2k + 1, which every count accepts as its ``sieve``.  Nothing here shares a
-code path with the kernels under test; only the integer argument checks
-come from core.
+code path with the kernels under test; only the argument checks come from
+core: the integer checks and :func:`kempner.core._sample_points`, the
+sample-point check of both sides.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import isqrt
 
 import numpy as np
 
-from .core import _as_i64, _as_u64
+from .core import _as_i64, _as_u64, _sample_points
 
 __all__ = [
     "DEFAULT_MEMORY_CAP",
@@ -115,23 +116,10 @@ def pair_counts_at(
     last gap/2 flags (none when no pair fits under xs[-1]) from segment to
     segment; gap 0 counts the flags and adds the prime 2 from x = 2 on.
     Memory is O(SEGMENT_SIZE + gaps + pi(sqrt(xs[-1]))) besides the xs.
-    The xs and gaps are checked before any sieving, in the order and words
-    of :func:`kempner.census.sample_counts`.
+    The xs and gaps are checked before any sieving by
+    :func:`kempner.core._sample_points`, as for :func:`kempner.census.sample_counts`.
     """
-    xs = np.asarray(xs)
-    if xs.ndim != 1:
-        raise ValueError(f"xs must be one-dimensional (got {xs.ndim} dimensions)")
-    if xs.size and xs.dtype.kind not in "iu":
-        raise TypeError(f"sample points must be integers (got dtype {xs.dtype})")
-    if xs.size and xs.dtype.kind == "u":  # int64 would wrap these negative
-        _as_i64(int(xs.max()), "max(xs)")
-    xs = xs.astype(np.int64, copy=False)
-    if xs.size and (xs[0] < 0 or (np.diff(xs) < 0).any()):
-        raise ValueError("sample points must be ascending and >= 0")
-    gaps = [_as_i64(gap, "gap") for gap in gaps]
-    for gap in gaps:
-        if gap % 2:
-            raise ValueError(f"gap must be even (got {gap})")
+    xs, gaps = _sample_points(xs, gaps)
     max_x = int(xs[-1]) if xs.size else 0
     ks = (xs + 1) // 2  # each x counts the hits at odd index k < ks
     n_odd = (max_x + 1) // 2

@@ -52,7 +52,6 @@ are rejected by name.
 
 from __future__ import annotations
 
-import operator
 import os
 import struct
 from bisect import bisect_right
@@ -415,9 +414,7 @@ def iter_segments(
     lo = _as_u64(lo, "lo", minimum=1)
     hi = _as_u64(hi, "hi", minimum=lo)
     _check_convention(conv)
-    threads = operator.index(threads)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1 (got {threads})")
+    threads = _as_u64(threads, "threads", minimum=1)
     segment_size = SEGMENT_SIZE
     threads = min(threads, -(-(hi - lo + 1) // segment_size))
     base = _small_primes(isqrt(hi))
@@ -459,6 +456,8 @@ def s_range(
     """
     lo = _as_u64(lo, "lo", minimum=1)
     hi = _as_u64(hi, "hi", minimum=lo)
+    _check_convention(conv)  # iter_segments checks only once iterated, after the allocation
+    _as_u64(threads, "threads", minimum=1)
     out = np.empty(hi - lo + 1, dtype=np.uint64)
     for a, values in iter_segments(lo, hi, conv, threads=threads):
         out[a - lo : a - lo + values.size] = values

@@ -1,7 +1,6 @@
 """Counting formulas: worked terms, oracle exactness, convention behavior."""
 
 import random
-import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -96,9 +95,15 @@ def test_count_twin_correction_gate():
 
 
 def test_threads_below_one_are_rejected():
-    for threads in (0, -2):
-        with pytest.raises(ValueError):
-            count_twin(100, threads=threads)
+    # Checked before any work, so also where there is nothing to stream.
+    for x in (0, 100):
+        for threads in (0, -2):
+            with pytest.raises(ValueError, match="threads must be >= 1"):
+                count_twin(x, threads=threads)
+        with pytest.raises(TypeError):
+            count_twin(x, threads=1.5)
+    with pytest.raises(ValueError, match=r"threads must be >= 1 \(got 0\)"):
+        sample_counts(np.array([], np.int64), [2], threads=0)
 
 
 # --- count_pairs -------------------------------------------------------------
@@ -207,17 +212,12 @@ def test_trace_sum_reproduces_count():
             assert sum(paper) == literal.formula_count - literal.correction_applied, (half_gap, x)
 
 
-def test_trace_memory_follows_the_window_not_the_gap():
+def test_trace_memory_follows_the_window_not_the_gap(traced_peak):
     # S is computed over the window and the window shifted by 2n, not over
     # everything between them.  The tiles are built once per process; build
     # them first so the peak is the call's own.
     table._tiles()
-    tracemalloc.start()
-    try:
-        rows = trace_terms(PairCountQuery(2 * 10**6 + 10, 10**6), (1, 4))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    rows, peak = traced_peak(lambda: trace_terms(PairCountQuery(2 * 10**6 + 10, 10**6), (1, 4)))
     assert peak < 10**6
     assert [row[0] for row in rows] == [1, 2, 3, 4]
 
@@ -407,15 +407,10 @@ def test_sample_points_must_ascend_from_zero():
             sample_counts(np.array(xs, dtype=np.uint64), [2])
 
 
-def test_gaps_past_x_count_zero_without_holding_gap_flags():
+def test_gaps_past_x_count_zero_without_holding_gap_flags(traced_peak):
     # A pair count carries its last `gap` flags; past x none can pair.
     xs = np.arange(101)
-    tracemalloc.start()
-    try:
-        counts = sample_counts(xs, [4, 10**12])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    counts, peak = traced_peak(lambda: sample_counts(xs, [4, 10**12]))
     assert peak < 1 << 20
     assert (counts[:, 1] == 0).all()
     assert (counts[:, 0] == pair_counts_at(xs, [4])[0] + [[0], [1]] * (xs >= 5)).all()

@@ -4,7 +4,6 @@ import itertools
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 from unittest.mock import patch
 
@@ -214,22 +213,11 @@ def test_table_csv_does_not_depend_on_segment_size_or_threads(runner):
             assert other.output == base, (segment_size, threads)
 
 
-def _traced_peak(fn):
-    """The traced peak of fn(), with the pre-sieve tiles (3.8 MB, built once
-    per process) made first so that they count in none of the calls."""
-    table._tiles()
-    tracemalloc.start()
-    try:
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_table_csv_streams_in_less_memory_than_the_values(runner, tmp_path):
+def test_table_csv_streams_in_less_memory_than_the_values(runner, tmp_path, traced_peak):
     path = tmp_path / "table.csv"
+    table._tiles()  # the pre-sieve tiles (3.8 MB, built once per process) count in no call
     with patch.object(table, "SEGMENT_SIZE", 4096):
-        result, peak = _traced_peak(lambda: invoke(runner, "table", "1", "200000", "--out", str(path)))
+        result, peak = traced_peak(lambda: invoke(runner, "table", "1", "200000", "--out", str(path)))
     assert result.exit_code == 0
     assert peak < 8 * 200_000  # the table's u64 values alone: 1.6 MB
     lines = path.read_text().splitlines()
@@ -237,11 +225,12 @@ def test_table_csv_streams_in_less_memory_than_the_values(runner, tmp_path):
     assert lines[-1] == f"200000,{s(200_000)},false"
 
 
-def test_table_cache_streams_in_less_memory_than_the_values(runner, tmp_path):
+def test_table_cache_streams_in_less_memory_than_the_values(runner, tmp_path, traced_peak):
     path = tmp_path / "cache.skt"
     args = ("table", "1", "200000", "--format", "cache", "--out", str(path), "--threads", "2")
+    table._tiles()
     with patch.object(table, "SEGMENT_SIZE", 4096):
-        result, peak = _traced_peak(lambda: invoke(runner, *args))
+        result, peak = traced_peak(lambda: invoke(runner, *args))
     assert result.exit_code == 0
     assert peak < 8 * 200_000  # the table's u64 values alone: 1.6 MB
     assert path.read_bytes() == s_range(1, 200_000, FORMULA).to_bytes()

@@ -1,7 +1,6 @@
 """Sieve oracle: exactness, agreement with the primality kernel, examples."""
 
 import ast
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -171,36 +170,26 @@ def test_gap_zero_counts_primes_as_oracle_pi(sieve_100k):
     assert pair_counts_at(np.array([], dtype=np.int64), [0, 2], sieve_100k).shape == (2, 0)
 
 
-def peak_bytes(call) -> int:
-    """The Python-heap peak (numpy arrays included) of one call, in bytes."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_oracle_footprint_at_a_million():
+def test_oracle_footprint_at_a_million(traced_peak):
     sieve = sieve_primes(10**6)
     # pi(x) counts the odd flags in place: no dense copy of 10^6 bytes.
-    assert peak_bytes(lambda: oracle_pi(10**6, sieve)) < 10_000
+    assert traced_peak(lambda: oracle_pi(10**6, sieve))[1] < 10_000
     # One pair mask of 500,000 bytes plus the ~8,200 twin pairs' larger
     # members; an unpacked copy of the odd flags would add 500,000 more.
     xs = np.arange(0, 10**6 + 1, 1000)
-    assert peak_bytes(lambda: pair_counts_at(xs, [2], sieve)) < 750_000
+    assert traced_peak(lambda: pair_counts_at(xs, [2], sieve))[1] < 750_000
 
 
-def test_streamed_counts_hold_one_segment():
+def test_streamed_counts_hold_one_segment(traced_peak):
     # A sieve to 8e6 alone is 4 MB; a streamed count holds one 1 MB segment,
     # its pair mask and the hits of one segment.
     xs = np.arange(0, 8 * 10**6 + 1, 1000)
-    assert peak_bytes(lambda: pair_counts_at(xs, [0, 2, 6])) < 4_000_000
+    assert traced_peak(lambda: pair_counts_at(xs, [0, 2, 6]))[1] < 4_000_000
 
 
-def test_gap_past_max_x_carries_no_tail():
+def test_gap_past_max_x_carries_no_tail(traced_peak):
     # A gap past max(xs) finds no pair and carries none of its 2^62 - 1 flags.
-    assert peak_bytes(lambda: oracle_pair_count(100, 2**62 - 1)) < 100_000
+    assert traced_peak(lambda: oracle_pair_count(100, 2**62 - 1))[1] < 100_000
     assert oracle_pair_count(100, 2**62 - 1) == 0
 
 
@@ -212,7 +201,7 @@ def test_oracle_imports_only_the_argument_checks():
             assert not any(alias.name.startswith("kempner") for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("kempner")):
             ours |= {(node.module, alias.name) for alias in node.names}
-    assert ours == {("core", "_as_i64"), ("core", "_as_u64")}
+    assert ours == {("core", "_as_i64"), ("core", "_as_u64"), ("core", "_sample_points")}
 
 
 @pytest.mark.parametrize("module", ["core", "table", "census"])

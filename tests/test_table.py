@@ -7,7 +7,6 @@ import random
 import struct
 import sys
 import time
-import tracemalloc
 from math import isqrt
 from unittest.mock import patch
 
@@ -107,15 +106,10 @@ def test_held_segment_survives_the_fills_ahead_of_it(threads):
     assert seen == 3000
 
 
-def test_many_tiny_segments_keep_memory_bounded():
+def test_many_tiny_segments_keep_memory_bounded(traced_peak):
     # A bounded look-ahead is in flight, not one future per segment.
-    tracemalloc.start()
-    try:
-        with patch.object(table, "SEGMENT_SIZE", 1):
-            tab = s_range(1, 5000, threads=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with patch.object(table, "SEGMENT_SIZE", 1):
+        tab, peak = traced_peak(lambda: s_range(1, 5000, threads=2))
     assert peak < 1 << 20
     assert (tab.values == s_range(1, 5000).values).all()
 
@@ -458,6 +452,14 @@ def test_rejections():
             s_range(1, 10, threads=threads)
     with pytest.raises(TypeError):
         s_range(1, 10, threads=2.0)
+    # Checked before the output is allocated (2^45 entries take 256 TiB).
+    for hi in (2**45, 2**60):
+        with pytest.raises(ValueError, match="threads"):
+            s_range(1, hi, threads=0)
+        with pytest.raises(TypeError):
+            s_range(1, hi, threads=2.0)
+        with pytest.raises(TypeError, match="Convention"):
+            s_range(1, hi, "paper")
 
 
 def test_stable_length_validation():
@@ -508,15 +510,10 @@ def test_round_trip_file(tmp_path):
     assert (back.lo, back.hi, back.conv) == (37, 4000, FORMULA)
 
 
-def test_load_holds_one_copy(tmp_path):
+def test_load_holds_one_copy(tmp_path, traced_peak):
     path = tmp_path / "window.skt"
     s_range(1, 1 << 20).save(path)
-    tracemalloc.start()
-    try:
-        back = STable.load(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    back, peak = traced_peak(lambda: STable.load(path))
     assert peak < 1.25 * os.path.getsize(path)
     assert back.values.flags.writeable
     back.values[0] = 7
@@ -524,19 +521,18 @@ def test_load_holds_one_copy(tmp_path):
 
 
 @pytest.mark.parametrize("bad", ["magic", "length"])
-def test_load_checks_the_header_before_reading_the_file(tmp_path, bad):
+def test_load_checks_the_header_before_reading_the_file(tmp_path, bad, traced_peak):
     # A sparse 256 MiB file: no cache at all, or a valid header of 10 entries.
     head = b"JUNK" if bad == "magic" else table._HEADER.pack(table._MAGIC, table._VERSION, 1, 10, 0)
     path = tmp_path / "big.skt"
     path.write_bytes(head)
     os.truncate(path, 256 << 20)
-    tracemalloc.start()
-    try:
+
+    def load():
         with pytest.raises(CacheFormatError, match=bad):
             STable.load(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(load)
     assert peak < 1 << 20
 
 
@@ -643,13 +639,8 @@ def test_failed_save_keeps_existing_file_and_leaves_no_temp(tmp_path, monkeypatc
     assert STable.load(path).values.size == 500
 
 
-def test_save_writes_the_values_without_a_blob(tmp_path):
+def test_save_writes_the_values_without_a_blob(tmp_path, traced_peak):
     tab = STable(1, 1 << 20, FORMULA, np.arange(1, (1 << 20) + 1, dtype=np.uint64))
-    tracemalloc.start()
-    try:
-        tab.save(tmp_path / "big.skt")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: tab.save(tmp_path / "big.skt"))
     assert peak < 1 << 20  # the values take 8 MiB
     assert (tmp_path / "big.skt").read_bytes() == tab.to_bytes()
