@@ -1,12 +1,15 @@
 """Command-line surface: point queries, counts, tables and verification sweeps.
 
 Every table is CSV with a header row; numeric fields are plain base-10 and
-booleans render as true/false, so no quoting is ever needed.  Exit codes:
-0 success, 1 verification mismatch, 2 usage error, 3 I/O error.
+booleans render as true/false, so no quoting is ever needed.  All output
+goes through ``_write`` in joined pieces.  Exit codes: 0 success, 1
+verification mismatch, 2 usage error, 3 I/O error: any failed write, a closed
+pipe included, or a cache ``--out`` that is not a regular file.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import sys
 from contextlib import nullcontext
@@ -31,8 +34,8 @@ MAX_TRACE_ROWS = 1 << 20
 # fills the first half as uint32), the working arrays of the fill it runs
 # and an OS thread.
 MAX_THREADS = 4 * (os.cpu_count() or 1)
-# Rows of `table` CSV joined into one string per write: about 5 MB of row
-# strings, a fixed bound below a segment's 2^19 rows.
+# Rows of CSV joined into one string per write: about 5 MB of row strings,
+# a fixed bound below a `table` segment's 2^19 rows.
 _CSV_ROWS = 1 << 16
 
 _X = click.IntRange(0, _I64_MAX)
@@ -43,10 +46,21 @@ def _bool_str(flag: bool) -> str:
     return "true" if flag else "false"
 
 
+def _write(pieces, path: str | None = None) -> None:
+    """Write and flush each piece to ``path`` or stdout, opened first; any OSError exits 3."""
+    try:
+        with nullcontext(sys.stdout) if path is None else open(path, "w") as fh:
+            for piece in pieces:
+                fh.write(piece)
+                fh.flush()
+    except OSError as exc:
+        _exit_io(f"cannot write {'stdout' if path is None else path}", exc)
+
+
 def _echo_rows(header: str, rows) -> None:
-    click.echo(header)
-    for row in rows:
-        click.echo(",".join(str(cell) for cell in row))
+    """Write ``header`` and the CSV of ``rows``, joined _CSV_ROWS lines to a piece."""
+    lines = itertools.chain([header], (",".join(map(str, row)) for row in rows))
+    _write(iter(lambda: "".join(f"{line}\n" for line in itertools.islice(lines, _CSV_ROWS)), ""))
 
 
 def _echo_count(header: str, cells: tuple, count: int, truth: int | None) -> None:
@@ -162,7 +176,7 @@ def cmd_pi(x: int, verify: bool, threads: int) -> None:
 @main.command()
 @click.argument("lo", type=_N)
 @click.argument("hi", type=_N)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
+@click.option("--out", "out_path", type=click.Path(), default=None,
               help="Destination file (default: stdout for csv, cache dir for cache).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "cache"]), default="csv",
               show_default=True)
@@ -174,16 +188,13 @@ def table(lo: int, hi: int, out_path: str | None, fmt: str, convention: str, thr
         raise click.BadParameter(f"need LO <= HI, got [{lo}, {hi}]", param_hint="lo/hi")
     conv = Convention(convention)
     if fmt == "csv":
-        # Opened before any work; each segment is written as soon as it is filled.
-        try:
-            with nullcontext(sys.stdout) if out_path is None else open(out_path, "w") as fh:
-                fh.write("n,s,is_fixed_point\n")
-                for a, values in iter_segments(lo, hi, conv, threads=threads):
-                    for i in range(0, values.size, _CSV_ROWS):
-                        rows = enumerate(values[i : i + _CSV_ROWS].tolist(), a + i)
-                        fh.write("".join([f"{j},{v},{_bool_str(v == j)}\n" for j, v in rows]))
-        except OSError as exc:
-            _exit_io(f"cannot write {'stdout' if out_path is None else out_path}", exc)
+        def pieces():  # lazy, so _write opens --out before any work; no piece spans two segments
+            yield "n,s,is_fixed_point\n"
+            for a, values in iter_segments(lo, hi, conv, threads=threads):
+                for i in range(0, values.size, _CSV_ROWS):
+                    rows = enumerate(values[i : i + _CSV_ROWS].tolist(), a + i)
+                    yield "".join([f"{j},{v},{_bool_str(v == j)}\n" for j, v in rows])
+        _write(pieces(), out_path)
         return
     if out_path is None:
         cache_dir = os.environ.get("SKT_CACHE_DIR", ".")
@@ -201,7 +212,7 @@ def table(lo: int, hi: int, out_path: str | None, fmt: str, convention: str, thr
         write_cache(out_path, lo, hi, conv, blocks())
     except OSError as exc:
         _exit_io(f"cannot write {out_path}", exc)
-    click.echo(out_path)
+    _write([f"{out_path}\n"])
 
 
 @main.command()
@@ -247,7 +258,7 @@ def verify(max_x: int, gap_list: list[int], step: int, threads: int) -> None:
         _echo_rows("mismatch_gap,x,formula,oracle", mismatches)
     _echo_rows("literal_gap,x_from,x_to,delta", literal_rows)
     total = len(mismatches)
-    click.echo(f"total_mismatches,{total}")
+    _write([f"total_mismatches,{total}\n"])
     if total:
         sys.exit(_EXIT_MISMATCH)
 

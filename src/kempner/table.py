@@ -53,6 +53,7 @@ are rejected by name.
 from __future__ import annotations
 
 import os
+import stat
 import struct
 from bisect import bisect_right
 from collections import deque
@@ -123,8 +124,11 @@ def write_cache(path, lo: int, hi: int, conv: Convention, blocks) -> None:
 
     The write is atomic: a temp file in the same directory, opened before
     the first block is read, then ``os.replace``, so a failed write leaves
-    any existing file intact.
+    any existing file intact.  A ``path`` that is a symlink, FIFO, device or
+    directory raises OSError first, so it is never replaced.
     """
+    if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
+        raise OSError(f"{os.fspath(path)} exists and is not a regular file")
     tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
     fh = open(tmp, "xb")
     try:

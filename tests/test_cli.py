@@ -42,6 +42,12 @@ def no_work(monkeypatch):
         monkeypatch.setattr(module, name, fail)
 
 
+def child_env() -> dict:
+    """The environment of a child Python that imports this checkout's kempner."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+
+
 def assert_usage_error(result):
     assert result.exit_code == 2
     assert result.stdout == ""
@@ -258,16 +264,69 @@ def test_table_csv_across_two_to_the_32_same_over_threads(runner, tmp_path, segm
     assert caches == [s_range(lo, hi, FORMULA).to_bytes()] * 2
 
 
-def test_table_csv_unwritable_out_exits_before_any_work(runner, monkeypatch):
+def test_table_csv_unwritable_out_exits_before_any_work(runner, monkeypatch, tmp_path):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --out was opened")
 
     monkeypatch.setattr(cli, "iter_segments", no_work)
     monkeypatch.setattr(table, "_small_primes", no_work)
-    for fmt in ("csv", "cache"):
-        result = runner.invoke(main, ["table", "1", "10", "--format", fmt, "--out", "/nonexistent/t.csv"])
-        assert result.exit_code == 3, fmt
-        assert "cannot write /nonexistent/t.csv" in result.output
+    for fmt, out in itertools.product(("csv", "cache"), ("/nonexistent/t.csv", str(tmp_path))):
+        result = runner.invoke(main, ["table", "1", "10", "--format", fmt, "--out", out])
+        assert result.exit_code == 3, (fmt, out)
+        assert f"cannot write {out}" in result.output
+
+
+@pytest.mark.parametrize("kind", ["fifo", "symlink", "directory"])
+def test_cache_never_replaces_what_is_not_a_regular_file(runner, monkeypatch, tmp_path, kind):
+    target = tmp_path / "target.skt"
+    target.write_bytes(b"keep")
+    path = tmp_path / "out.skt"
+    {"fifo": os.mkfifo, "symlink": lambda p: p.symlink_to(target), "directory": os.mkdir}[kind](path)
+    mode = os.lstat(path).st_mode
+    with pytest.raises(OSError, match="not a regular file"):
+        s_range(1, 10, FORMULA).save(path)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(cli, "iter_segments", no_work)
+    result = runner.invoke(main, ["table", "1", "10", "--format", "cache", "--out", str(path)])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == f"error: cannot write {path}: {path} exists and is not a regular file\n"
+    assert os.lstat(path).st_mode == mode
+    assert target.read_bytes() == b"keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.skt", "target.skt"]  # no temp file
+
+
+# --- output: every failed write exits 3 -----------------------------------------
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", ["s 5", "pi 100", "twins 100", "twins 100 --verify",
+                                  "twins 100 --trace 1..50", "pairs 100 --gap 4",
+                                  "verify --max-x 100", "table 1 10"])
+def test_full_stdout_exits_three(args):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "kempner", *args.split()], stdout=full,
+                              stderr=subprocess.PIPE, env=child_env(), text=True)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: cannot write stdout")
+
+
+@pytest.mark.parametrize("args", ["twins 100000 --trace 1..90000", "table 1 1000000"])
+def test_closed_pipe_exits_three(args):
+    # As `| head -1`: the reader takes one line and closes the pipe while
+    # megabytes of rows are still to come.
+    with subprocess.Popen([sys.executable, "-m", "kempner", *args.split()], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=child_env(), text=True) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 3
+    assert err.startswith("error: cannot write stdout") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command, counter", [(["twins", "100"], "count_twin"),
@@ -415,19 +474,31 @@ def test_oracle_streams_past_the_old_cap(runner, monkeypatch, command):
     assert result.output.splitlines()[-1].endswith((",true", "total_mismatches,0"))
 
 
+# `python -m kempner ARGS` that prints its own peak RSS, VmHWM, to stderr at exit.
+# Unlike ru_maxrss, which keeps the parent's high-water mark across the exec
+# (getrusage(2)), VmHWM starts afresh with the new image.
+_PEAK_AT_EXIT = """
+import atexit, runpy, sys
+
+def peak():
+    with open("/proc/self/status") as status:
+        sys.stderr.write(next(line for line in status if line.startswith("VmHWM:")))
+
+atexit.register(peak)
+runpy.run_module("kempner", run_name="__main__", alter_sys=True)
+"""
+
+
 @pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
 def test_verify_past_the_old_cap_in_bounded_memory():
     # A whole sieve to 3e9 would take 1.4 GiB; the streamed oracle holds a segment.
-    src = Path(cli.__file__).resolve().parents[1]
-    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
-    args = [sys.executable, "-m", "kempner", "verify", "--max-x", "3000000000", "--step", "4999"]
-    with subprocess.Popen(args, stdout=subprocess.PIPE, env=env, text=True) as proc:
-        out = proc.stdout.read()
-        _, status, usage = os.wait4(proc.pid, 0)  # the rusage of this child alone
-        proc.returncode = os.waitstatus_to_exitcode(status)
+    args = [sys.executable, "-c", _PEAK_AT_EXIT, "verify", "--max-x", "3000000000", "--step", "4999"]
+    proc = subprocess.run(args, capture_output=True, env=child_env(), text=True)
     assert proc.returncode == 0
-    assert usage.ru_maxrss < 150 * 1024  # KiB
+    peak = int(proc.stderr.split("VmHWM:")[1].split()[0])  # the peak of this child alone
+    assert peak < 150 * 1024  # KiB
+    out = proc.stdout
     points = len(range(2, 3 * 10**9 + 1, 4999)) + 1  # the grid ends below max-x, which is added
     assert out.splitlines() == [
         "gap,x_checked,mismatches",
@@ -443,7 +514,7 @@ def test_oversized_verify_grid_rejected_before_any_work(runner, monkeypatch):
         raise AssertionError("work started before the grid size was checked")
 
     monkeypatch.setattr(np, "arange", no_work)
-    monkeypatch.setattr(oracle, "sieve_primes", no_work)
+    monkeypatch.setattr(oracle, "_segments", no_work)
     monkeypatch.setattr(census, "iter_segments", no_work)
     result = runner.invoke(main, ["verify", "--max-x", "2000000000", "--step", "1"])
     assert result.exit_code == 2
