@@ -54,13 +54,18 @@ def _write(pieces, path: str | None = None) -> None:
                 fh.write(piece)
                 fh.flush()
     except OSError as exc:
+        if path is None:  # stdout's buffer keeps the failed bytes; send them to devnull at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         _exit_io(f"cannot write {'stdout' if path is None else path}", exc)
 
 
 def _echo_rows(header: str, rows) -> None:
     """Write ``header`` and the CSV of ``rows``, joined _CSV_ROWS lines to a piece."""
-    lines = itertools.chain([header], (",".join(map(str, row)) for row in rows))
-    _write(iter(lambda: "".join(f"{line}\n" for line in itertools.islice(lines, _CSV_ROWS)), ""))
+    def pieces():
+        lines = itertools.chain([header], (",".join(map(str, row)) for row in rows))
+        while piece := "".join(f"{line}\n" for line in itertools.islice(lines, _CSV_ROWS)):
+            yield piece
+    _write(pieces())
 
 
 def _echo_count(header: str, cells: tuple, count: int, truth: int | None) -> None:

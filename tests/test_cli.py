@@ -43,9 +43,11 @@ def no_work(monkeypatch):
 
 
 def child_env() -> dict:
-    """The environment of a child Python that imports this checkout's kempner."""
+    """The environment of a child Python that imports this checkout's kempner,
+    with stdout block-buffered as in a plain shell."""
     src = Path(cli.__file__).resolve().parents[1]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
 
 
 def assert_usage_error(result):
