@@ -58,6 +58,8 @@ __all__ = [
 # points alone) -> larger member: 4 alone, and the pair (2, 4).  Each is one
 # spurious hit in every count that reaches its larger member.
 _COMPOSITE_HITS = {0: 4, 2: 4}
+# Largest trace_terms window: its rows are held in memory, about 150 bytes each.
+MAX_TRACE_ROWS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -203,13 +205,14 @@ def trace_terms(
     the term computed by the literal floored division, so convention
     anomalies (notably j = 1 under S(1) = 1) are visible rather than
     masked.  S is computed over the window and over the window shifted by
-    2n only, so memory follows the window, not the gap.
+    2n only, so memory follows the window, not the gap; a window of more
+    than MAX_TRACE_ROWS rows raises ValueError before any S is computed.
     """
     lo, hi = window
     lo = _as_u64(lo, "window lo", minimum=1)
     hi = _as_u64(hi, "window hi")
-    if hi < lo:
-        raise ValueError(f"inverted window ({lo}, {hi})")
+    if not lo <= hi < lo + MAX_TRACE_ROWS:
+        raise ValueError(f"window ({lo}, {hi}) must hold 1 to {MAX_TRACE_ROWS} rows")
     if hi > query.x - query.gap:
         raise ValueError(
             f"window must lie within [1, {query.x - query.gap}] for x={query.x}, "
@@ -235,14 +238,14 @@ def sample_counts(xs: np.ndarray, gaps: list[int], *, threads: int = 1) -> np.nd
     gives every count up to x.  xs and the gaps are checked by
     :func:`kempner.core._sample_points`, as for :func:`kempner.oracle.pair_counts_at`.
     """
-    _as_u64(threads, "threads", minimum=1)  # also where no segment is streamed
     xs, gaps = _sample_points(xs, gaps)
     top = int(xs[-1]) if xs.size else 0
+    segments = iter_segments(1, max(top, 1), Convention.FORMULA_CONSISTENT, threads=threads)
     # No pair up to top has a gap of top or more, so such a gap counts as top
     # does and carries no more than top flags; its term lies past top.
     tallies = [_Tally(min(gap, top), xs) for gap in gaps]
     if top:  # one pass over S feeds the flags of j in [1, top]; S(1) = 0 leaves j = 1 unset
-        for a, values in iter_segments(1, top, Convention.FORMULA_CONSISTENT, threads=threads):
+        for a, values in segments:
             flags = values == np.arange(a, a + values.size, dtype=values.dtype)
             for tally in tallies:
                 tally.feed(a, flags)

@@ -18,6 +18,7 @@ import click
 import numpy as np
 
 from . import census, oracle
+from . import table as _table  # `table` is the command below
 from .core import _I64_MAX, U64_MAX, Convention, s
 from .table import iter_segments, write_cache
 
@@ -27,13 +28,6 @@ _EXIT_IO = 3
 # Largest sampled x grid `verify` accepts.  Its arrays take about 30 bytes
 # per point and gap, so about 30 MiB per gap at the limit.
 MAX_VERIFY_POINTS = 1 << 20
-# Largest `--trace` window: its rows are held in memory, about 150 bytes each.
-MAX_TRACE_ROWS = 1 << 20
-# Most threads `--threads` accepts: each holds a ring buffer of
-# table.SEGMENT_SIZE u64 (4 MiB, of which a segment that ends below 2^32
-# fills the first half as uint32), the working arrays of the fill it runs
-# and an OS thread.
-MAX_THREADS = 4 * (os.cpu_count() or 1)
 # Rows of CSV joined into one string per write: about 5 MB of row strings,
 # a fixed bound below a `table` segment's 2^19 rows.
 _CSV_ROWS = 1 << 16
@@ -96,23 +90,23 @@ def _gaps(ctx, param, value) -> list[int]:
 
 
 def _window(ctx, param, text: str | None) -> tuple[int, int] | None:
-    """The window LO..HI of ``--trace``: 1 <= LO <= HI, at most MAX_TRACE_ROWS rows."""
+    """The window LO..HI of ``--trace``: 1 <= LO <= HI, at most census.MAX_TRACE_ROWS rows."""
     if text is None:
         return None
     try:
         lo, hi = (int(part) for part in text.split(".."))
     except ValueError:
         raise click.BadParameter(f"expected LO..HI, got {text!r}")
-    if not 1 <= lo <= hi < lo + MAX_TRACE_ROWS:
-        raise click.BadParameter(f"need 1 <= LO <= HI, at most {MAX_TRACE_ROWS} rows; got {text!r}")
+    if not 1 <= lo <= hi < lo + census.MAX_TRACE_ROWS:
+        raise click.BadParameter(f"need 1 <= LO <= HI < LO + {census.MAX_TRACE_ROWS}; got {text!r}")
     return lo, hi
 
 
 _threads_option = click.option(
     "--threads",
-    type=click.IntRange(1, MAX_THREADS),
-    default=lambda: os.cpu_count() or 1,
-    show_default="available cores",
+    type=click.IntRange(1, _table.MAX_THREADS),
+    default=lambda: _table._CPUS,
+    show_default="CPUs available",
     help="Threads that fill the segments; output is the same for any count.",
 )
 
@@ -141,7 +135,7 @@ def cmd_s(n: int, convention: str) -> None:
 @click.argument("x", type=_X)
 @click.option("--verify", is_flag=True, help="Also run the sieve oracle and compare.")
 @click.option("--trace", "window", default=None, metavar="LO..HI", callback=_window,
-              help=f"Append term-by-term rows for j in LO..HI (at most {MAX_TRACE_ROWS}).")
+              help=f"Append term-by-term rows for j in LO..HI (at most {census.MAX_TRACE_ROWS}).")
 @_threads_option
 def twins(x: int, verify: bool, window: tuple[int, int] | None, threads: int) -> None:
     """Count twin prime pairs (p, p+2) with p+2 <= X."""
@@ -182,7 +176,7 @@ def cmd_pi(x: int, verify: bool, threads: int) -> None:
 @click.argument("lo", type=_N)
 @click.argument("hi", type=_N)
 @click.option("--out", "out_path", type=click.Path(), default=None,
-              help="Destination file (default: stdout for csv, cache dir for cache).")
+              help="Destination file (default: stdout for csv, s_LO_HI_CONV.skt for cache).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "cache"]), default="csv",
               show_default=True)
 @_convention_option("formula")
@@ -202,12 +196,7 @@ def table(lo: int, hi: int, out_path: str | None, fmt: str, convention: str, thr
         _write(pieces(), out_path)
         return
     if out_path is None:
-        cache_dir = os.environ.get("SKT_CACHE_DIR", ".")
-        try:
-            os.makedirs(cache_dir, exist_ok=True)
-        except OSError as exc:
-            _exit_io(f"cannot create {cache_dir}", exc)
-        out_path = os.path.join(cache_dir, f"s_{lo}_{hi}_{conv.value}.skt")
+        out_path = f"s_{lo}_{hi}_{conv.value}.skt"
 
     def blocks():  # iter_segments starts only once write_cache has opened its temp file
         for _, values in iter_segments(lo, hi, conv, threads=threads):

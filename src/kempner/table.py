@@ -29,14 +29,14 @@ dtype, and a table holds them as uint64.  The last step is an unmasked max
 of S and the cofactor, which leaves 1 at j = 1; ``iter_segments`` writes
 the convention's S(1) over it.
 
-``iter_segments`` is the one source of S values: it yields the segments of
-a range in order, sieving the base primes once and filling whole segments of
-``SEGMENT_SIZE`` entries in parallel, at most one per thread ahead of the
-consumer, from a ring of buffers in O(threads * SEGMENT_SIZE + pi(sqrt(hi)))
-memory.  Every output reads that stream: ``s_range`` copies the segments
-into one table, ``write_cache`` writes them to a cache file as they come,
-and the counters in :mod:`kempner.census` and the CLI's CSV read them in
-place.
+``iter_segments`` is the one source of S values: checked when called, its
+stream yields the segments of a range in order, sieving the base primes once
+and filling whole segments of ``SEGMENT_SIZE`` entries in parallel, at most
+one per thread ahead of the consumer, from a ring of buffers in
+O(threads * SEGMENT_SIZE + pi(sqrt(hi))) memory.  Every output reads that
+stream: ``s_range`` copies the segments into one table, ``write_cache``
+writes them to a cache file as they come, and the counters in
+:mod:`kempner.census` and the CLI's CSV read them in place.
 
 Cache files are little-endian:
 
@@ -78,6 +78,10 @@ __all__ = [
 # flight.  Values and counts do not depend on it; speed at 10^9 is flat
 # from 2^17 to 2^20.  Read at each call, so tests can patch it.
 SEGMENT_SIZE = 1 << 19
+# Most threads a stream takes, 4 per CPU the process may run on (the CLI's default):
+# each holds a SEGMENT_SIZE u64 ring buffer (4 MiB), its fill's arrays and an OS thread.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+MAX_THREADS = 4 * _CPUS
 # Primes above span / _BAND_HITS (and above 23) hit a span at most about
 # _BAND_HITS times; they skip the strided loop for the bulk pass, which takes
 # _BAND_BLOCK of them per step so that its temporaries stay bounded.
@@ -187,7 +191,14 @@ class STable:
         self.lo = _as_u64(self.lo, "lo", minimum=1)
         self.hi = _as_u64(self.hi, "hi", minimum=self.lo)
         _check_convention(self.conv)
-        self.values = np.ascontiguousarray(self.values, dtype=np.uint64)
+        values = np.asarray(self.values)
+        if values.dtype.kind == "f" and all(type(v) is int for v in self.values):
+            values = np.asarray(self.values, dtype=np.uint64)  # numpy reads [1, 2**63] as floats
+        if values.size and values.dtype.kind not in "iu":  # a cast would wrap or truncate
+            raise TypeError(f"values must be integers (got dtype {values.dtype})")
+        if values.dtype.kind == "i" and values.size and values.min() < 0:
+            raise ValueError("values must be >= 0")
+        self.values = np.ascontiguousarray(values, dtype=np.uint64)
         if self.values.shape != (self.hi - self.lo + 1,):
             raise ValueError(
                 f"values length {self.values.shape[0]} != range size {self.hi - self.lo + 1}"
@@ -402,48 +413,54 @@ def iter_segments(
     *,
     threads: int = 1,
 ):
-    """Yield (a, values) with values[i] = S(a + i), segment by segment over [lo, hi] in order.
+    """The stream of (a, values), values[i] = S(a + i), over [lo, hi] segment by segment.
 
     ``values`` is uint32 for a segment that ends below 2^32 (a view of the
     first half of its uint64 buffer) and uint64 for any other.
 
-    The base primes are sieved once per call; the values do not depend on
+    Checked at the call, ``threads`` from 1 to MAX_THREADS; the base primes,
+    ring and pool are made at the first segment.  Values do not depend on
     the thread count or the segment size.  ``threads``, cut to the number of
-    segments, is the size of a ring of buffers that whole segments of
-    ``SEGMENT_SIZE`` entries are filled into, and segment i + threads is
-    started only once the consumer has returned from segment i, so a
-    yielded view stays valid until then and at most ``threads`` segments
-    are in flight.  One thread fills inline and opens no pool.
+    segments, sizes a ring of buffers that whole segments of
+    ``SEGMENT_SIZE`` entries fill, and segment i + threads starts only once
+    the consumer has returned from segment i, so a yielded view stays valid
+    until then.  One thread fills inline and opens no pool.
     """
     lo = _as_u64(lo, "lo", minimum=1)
     hi = _as_u64(hi, "hi", minimum=lo)
     _check_convention(conv)
     threads = _as_u64(threads, "threads", minimum=1)
+    if threads > MAX_THREADS:
+        raise ValueError(f"threads must be <= {MAX_THREADS} (got {threads})")
     segment_size = SEGMENT_SIZE
     threads = min(threads, -(-(hi - lo + 1) // segment_size))
-    base = _small_primes(isqrt(hi))
-    ring = np.empty((threads, min(segment_size, hi - lo + 1)), np.uint64)
 
-    def fill(a: int):
-        b = min(a + segment_size - 1, hi)
-        values = ring[(a - lo) // segment_size % threads, : b - a + 1]
-        if b < 1 << 32:
-            values = values.view(np.uint32)[: b - a + 1]
-        _fill_segment(values, a, b, base)
-        return a, values
+    def stream():
+        base = _small_primes(isqrt(hi))
+        ring = np.empty((threads, min(segment_size, hi - lo + 1)), np.uint64)
 
-    starts = iter(range(lo, hi + 1, segment_size))
-    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        # One thread defers each fill until its segment is taken.
-        submit = pool.submit if pool else partial
-        ahead = deque(submit(fill, start) for start in islice(starts, threads))
-        while ahead:
-            task = ahead.popleft()
-            a, values = task.result() if pool else task()
-            if a == 1:
-                values[0] = conv.s_of_one
-            yield a, values
-            ahead.extend(submit(fill, start) for start in islice(starts, 1))
+        def fill(a: int):
+            b = min(a + segment_size - 1, hi)
+            values = ring[(a - lo) // segment_size % threads, : b - a + 1]
+            if b < 1 << 32:
+                values = values.view(np.uint32)[: b - a + 1]
+            _fill_segment(values, a, b, base)
+            return a, values
+
+        starts = iter(range(lo, hi + 1, segment_size))
+        with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+            # One thread defers each fill until its segment is taken.
+            submit = pool.submit if pool else partial
+            ahead = deque(submit(fill, start) for start in islice(starts, threads))
+            while ahead:
+                task = ahead.popleft()
+                a, values = task.result() if pool else task()
+                if a == 1:
+                    values[0] = conv.s_of_one
+                yield a, values
+                ahead.extend(submit(fill, start) for start in islice(starts, 1))
+
+    return stream()
 
 
 def s_range(
@@ -458,11 +475,8 @@ def s_range(
     The segments of :func:`iter_segments` are copied into the returned
     table as they come; the result is bit-identical for every thread count.
     """
-    lo = _as_u64(lo, "lo", minimum=1)
-    hi = _as_u64(hi, "hi", minimum=lo)
-    _check_convention(conv)  # iter_segments checks only once iterated, after the allocation
-    _as_u64(threads, "threads", minimum=1)
-    out = np.empty(hi - lo + 1, dtype=np.uint64)
-    for a, values in iter_segments(lo, hi, conv, threads=threads):
+    segments = iter_segments(lo, hi, conv, threads=threads)  # checks before the allocation
+    out = np.empty(int(hi) - int(lo) + 1, dtype=np.uint64)  # mixed numpy ints subtract as floats
+    for a, values in segments:
         out[a - lo : a - lo + values.size] = values
     return STable(lo, hi, conv, out)

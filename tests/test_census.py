@@ -106,6 +106,20 @@ def test_threads_below_one_are_rejected():
         sample_counts(np.array([], np.int64), [2], threads=0)
 
 
+def test_threads_over_the_limit_are_rejected_before_any_work():
+    # The stream owns the limit; every entry point meets it before the base primes.
+    too_many = table.MAX_THREADS + 1
+    with patch.object(table, "_small_primes", side_effect=AssertionError("sieved")):
+        for call in (
+            lambda: s_range(1, 10**6, threads=too_many),
+            lambda: count_twin(10**6, threads=too_many),
+            lambda: count_primes(10**6, threads=too_many),
+            lambda: sample_counts(np.array([], np.int64), [2], threads=too_many),
+        ):
+            with pytest.raises(ValueError, match=f"threads must be <= {table.MAX_THREADS} "):
+                call()
+
+
 # --- count_pairs -------------------------------------------------------------
 
 
@@ -193,6 +207,16 @@ def test_trace_rejects_bad_windows():
         trace_terms(q, (0, 5))
     with pytest.raises(ValueError):
         trace_terms(q, (95, 99))  # beyond x - 2n
+
+
+def test_trace_window_limit_before_any_s(monkeypatch):
+    monkeypatch.setattr(census, "MAX_TRACE_ROWS", 7)
+    monkeypatch.setattr(census, "s_range", lambda *args: pytest.fail("S computed"))
+    q = PairCountQuery(100, 1)
+    with pytest.raises(pytest.fail.Exception, match="S computed"):  # 7 rows pass the check
+        trace_terms(q, (3, 9))
+    with pytest.raises(ValueError, match="1 to 7 rows"):
+        trace_terms(q, (3, 10))
 
 
 def test_trace_sum_reproduces_count():

@@ -111,7 +111,7 @@ def test_twins_trace_bad_window(runner, no_work):
 
 
 def test_twins_trace_window_limit(runner, monkeypatch):
-    monkeypatch.setattr(cli, "MAX_TRACE_ROWS", 7)
+    monkeypatch.setattr(census, "MAX_TRACE_ROWS", 7)
     assert invoke(runner, "twins", "30", "--trace", "3..9").output.splitlines()[-1] == "9,6,11,0"
     assert_usage_error(runner.invoke(main, ["twins", "30", "--trace", "3..10"]))
 
@@ -191,13 +191,13 @@ def test_table_cache_round_trip(runner, tmp_path):
     assert [int(line.split(",")[1]) for line in direct] == loaded.values.tolist()
 
 
-def test_table_cache_env_dir(runner, tmp_path, monkeypatch):
-    monkeypatch.setenv("SKT_CACHE_DIR", str(tmp_path / "cachedir"))
+def test_table_cache_default_is_the_working_directory(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     result = invoke(runner, "table", "2", "50", "--format", "cache")
     assert result.exit_code == 0
     written = result.output.strip()
-    assert written.endswith("s_2_50_formula.skt")
-    assert STable.load(written).hi == 50
+    assert written == "s_2_50_formula.skt"
+    assert STable.load(tmp_path / written).hi == 50
 
 
 def test_table_bad_range(runner):
@@ -438,7 +438,17 @@ def test_integer_arguments_out_of_range_are_usage_errors(runner, no_work, args):
                                      ["pi", "10000000"], ["table", "1", "10000000"],
                                      ["verify", "--max-x", "1000000"]])
 def test_threads_over_the_limit_are_usage_errors(runner, no_work, command):
-    assert_usage_error(runner.invoke(main, command + ["--threads", str(cli.MAX_THREADS + 1)]))
+    assert_usage_error(runner.invoke(main, command + ["--threads", str(table.MAX_THREADS + 1)]))
+
+
+def test_threads_default_is_the_cpus_this_process_may_use(runner, monkeypatch):
+    seen = []
+    monkeypatch.setattr(census, "count_twin", lambda x, threads: seen.append(threads) or
+                        census.CountReport(0))
+    for cpus in (1, 3):
+        monkeypatch.setattr(table, "_CPUS", cpus)
+        assert invoke(runner, "twins", "100").output == "x,t2\n100,0\n"
+    assert seen == [1, 3]
 
 
 @pytest.mark.parametrize("command", [["twins", "1000"], ["pairs", "1000", "--gap", "4"],

@@ -462,9 +462,45 @@ def test_rejections():
             s_range(1, hi, "paper")
 
 
+def test_iter_segments_checks_at_the_call():
+    # The call raises, not the first next(), and before the base primes are sieved.
+    with patch.object(table, "_small_primes", side_effect=AssertionError("sieved")):
+        for lo, hi, conv, threads in [(10, 5, PAPER, 1), (1, 10, PAPER, 0),
+                                      (1, 10, PAPER, table.MAX_THREADS + 1), (1, 10, "paper", 1)]:
+            with pytest.raises((ValueError, TypeError)):
+                table.iter_segments(lo, hi, conv, threads=threads)
+        with pytest.raises(ValueError, match=f"threads must be <= {table.MAX_THREADS} "):
+            s_range(1, 10, threads=table.MAX_THREADS + 1)
+
+
+def test_thread_limit_is_four_per_usable_cpu():
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on, not the machine's
+        assert table._CPUS == len(os.sched_getaffinity(0))
+    assert table.MAX_THREADS == 4 * table._CPUS
+
+
 def test_stable_length_validation():
     with pytest.raises(ValueError):
         STable(1, 10, PAPER, np.zeros(5, dtype=np.uint64))
+
+
+@pytest.mark.parametrize("values", [np.array([-1.0, 2.5]), np.array([1.0, 2.0]),
+                                    np.array([True, False]), np.array(["1", "2"]),
+                                    np.array([1 + 0j, 2 + 0j])],
+                         ids=["float", "whole-float", "bool", "string", "complex"])
+def test_stable_rejects_values_that_are_not_integers(values):
+    # A cast to uint64 would wrap, truncate or parse them, and save a wrong cache.
+    with pytest.raises(TypeError, match="values must be integers"):
+        STable(1, 2, PAPER, values)
+
+
+def test_stable_rejects_negative_values():
+    for values in (np.array([-1, 2]), [3, -2**63]):
+        with pytest.raises(ValueError, match="values must be >= 0"):
+            STable(1, 2, PAPER, values)
+    tab = STable(1, 3, PAPER, [1, 2, 2**63])
+    assert tab.values.dtype == np.uint64 and tab.values.tolist() == [1, 2, 2**63]
+    assert STable(1, 2, PAPER, np.array([1, 2], dtype=np.int8)).values.tolist() == [1, 2]
 
 
 # --- serialization -----------------------------------------------------------
