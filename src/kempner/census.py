@@ -58,6 +58,9 @@ __all__ = [
 # points alone) -> larger member: 4 alone, and the pair (2, 4).  Each is one
 # spurious hit in every count that reaches its larger member.
 _COMPOSITE_HITS = {0: 4, 2: 4}
+# Entries of j per fixed-point compare in sample_counts: an arange of j held
+# beside each whole segment lifted verify's peak RSS.
+_COMPARE = 1 << 16
 # Largest trace_terms window: its rows are held in memory, about 150 bytes each.
 MAX_TRACE_ROWS = 1 << 20
 
@@ -116,9 +119,11 @@ class _Tally:
     The flags are the default reading's, with j = 1 unset.  The last ``gap``
     flags carry from one segment to the next, so a segment may be shorter
     than the gap; no j <= 0 is a fixed point.  ``counts[i]`` is the number of
-    hits up to ``xs[i]`` (xs ascending).  ``term`` is the literal reading's
-    j = 1 term, which it adds from x = 1 + gap on: the flag at 1 + gap, or 1
-    for gap 0.
+    hits up to ``xs[i]`` (xs ascending).  A segment that holds sample points
+    reads their counts by popcount from its pair mask packed into uint64
+    words, so a feed of n flags holds one pair mask plus n/64 words.
+    ``term`` is the literal reading's j = 1 term, which it adds from
+    x = 1 + gap on: the flag at 1 + gap, or 1 for gap 0.
     """
 
     def __init__(self, gap: int, xs: np.ndarray) -> None:
@@ -133,17 +138,32 @@ class _Tally:
         if gap and a <= 1 + gap < a + n:
             self.term = int(flags[1 + gap - a])
         # The pair at each flag ANDs it with the flag gap places back: the
-        # carried tail for the first m, the segment itself after them.
+        # carried tail for the first m, the segment itself after them.  Zeros
+        # pad it to whole 64-bit words, at least one past the segment.
         m = min(n, gap)
-        pair = np.empty(n, dtype=bool)
+        pair = np.empty(n // 64 * 64 + 64, dtype=bool)
+        pair[n:] = False
         np.logical_and(self.tail[:m], flags[:m], out=pair[:m])
-        np.logical_and(flags[: n - m], flags[m:], out=pair[m:])
+        np.logical_and(flags[: n - m], flags[m:], out=pair[m:n])
         self.tail = np.concatenate((self.tail[m:], flags[n - m :]))
-        # Only the hits up to the segment's last sample point are listed;
-        # none when it holds no sample point.
         lo, hi = np.searchsorted(self.xs, (a, a + n))
-        hits = np.flatnonzero(pair[: self.xs[hi - 1] - a + 1 if hi > lo else 0])
-        self.counts[lo:hi] = self.seen + np.searchsorted(hits, self.xs[lo:hi] - a, side="right")
+        if hi > lo:
+            # The hits below offset t = x + 1 - a of each sample point x: the
+            # popcounts of the packed words summed through word t // 64, less
+            # the hits from bit t % 64 up.  The padding word keeps t = n in
+            # range.  Per point, w, bit and one gathered word are held at once.
+            w = self.xs[lo:hi] + (1 - a)
+            bit = (w & 63).astype(np.uint8)
+            w >>= 6
+            words = np.packbits(pair, bitorder="little").view("<u8")
+            above = words[w]
+            above >>= bit
+            above = np.bitwise_count(above)
+            prefix = words.view(np.int64)
+            np.cumsum(np.bitwise_count(words, out=prefix), out=prefix)
+            prefix += self.seen
+            np.take(prefix, w, out=self.counts[lo:hi])
+            self.counts[lo:hi] -= above
         self.seen += np.count_nonzero(pair)
 
 
@@ -246,7 +266,12 @@ def sample_counts(xs: np.ndarray, gaps: list[int], *, threads: int = 1) -> np.nd
     tallies = [_Tally(min(gap, top), xs) for gap in gaps]
     if top:  # one pass over S feeds the flags of j in [1, top]; S(1) = 0 leaves j = 1 unset
         for a, values in segments:
-            flags = values == np.arange(a, a + values.size, dtype=values.dtype)
+            # S(j) = j, compared against j in pieces of at most _COMPARE entries.
+            flags = np.empty(values.size, dtype=bool)
+            for i in range(0, values.size, _COMPARE):
+                piece = values[i : i + _COMPARE]
+                j = np.arange(a + i, a + i + piece.size, dtype=values.dtype)
+                np.equal(piece, j, out=flags[i : i + piece.size])
             for tally in tallies:
                 tally.feed(a, flags)
     counts = np.empty((2, len(gaps), xs.size), dtype=np.int64)

@@ -115,7 +115,10 @@ def pair_counts_at(
     the streamed segments pairs odd k with k + gap/2, each gap carrying its
     last gap/2 flags (none when no pair fits under xs[-1]) from segment to
     segment; gap 0 counts the flags and adds the prime 2 from x = 2 on.
-    Memory is O(SEGMENT_SIZE + gaps + pi(sqrt(xs[-1]))) besides the xs.
+    In a segment that holds sample points, each gap's counts there are read
+    by popcount from its pair mask packed into uint64 words, so per gap a
+    segment holds one pair mask plus n/64 words.  Memory is
+    O(SEGMENT_SIZE + gaps + pi(sqrt(xs[-1]))) besides the xs.
     The xs and gaps are checked before any sieving by
     :func:`kempner.core._sample_points`, as for :func:`kempner.census.sample_counts`.
     """
@@ -126,11 +129,18 @@ def pair_counts_at(
     tails = {k: np.zeros(gap // 2, dtype=bool) for k, gap in enumerate(gaps) if gap // 2 < n_odd}
     seen = dict.fromkeys(tails, 0)
     counts = np.zeros((len(gaps), xs.size), dtype=np.int64)
-    pair = np.empty(min(SEGMENT_SIZE, n_odd), dtype=bool)
+    # Zeros pad the pair mask to whole 64-bit words, at least one past a segment.
+    pair = np.zeros(min(SEGMENT_SIZE, n_odd) // 64 * 64 + 64, dtype=bool)
     lo = 0
     for k0, seg in _segments(max_x, sieve):
         n = seg.size
         hi = int(np.searchsorted(ks, k0 + n, side="right"))
+        # Each x in the segment counts the hits below its offset t: bit t % 64
+        # of word t // 64 of the packed pair mask.
+        w = ks[lo:hi] - k0
+        bit = (w & 63).astype(np.uint8)
+        w >>= 6
+        pair[n:] = False
         for k, tail in tails.items():
             # The pair at each flag ANDs it with the flag h places back: the
             # carried tail for the first m, the segment itself after them.
@@ -139,9 +149,20 @@ def pair_counts_at(
             np.logical_and(seg[: n - m], seg[m:n], out=pair[m:n])
             tail[: h - m] = tail[m:]
             tail[h - m :] = seg[n - m :]
-            hits = np.flatnonzero(pair[:n])
-            counts[k, lo:hi] = seen[k] + np.searchsorted(hits, ks[lo:hi] - k0)
-            seen[k] += hits.size
+            if w.size:
+                # The popcounts of the packed words summed through t's word,
+                # less the hits from t's bit up; the padding word holds t = n.
+                # Per point, w, bit and one gathered word are held at once.
+                words = np.packbits(pair[: n // 64 * 64 + 64], bitorder="little").view("<u8")
+                above = words[w]
+                above >>= bit
+                above = np.bitwise_count(above)
+                prefix = words.view(np.int64)
+                np.cumsum(np.bitwise_count(words, out=prefix), out=prefix)
+                prefix += seen[k]
+                np.take(prefix, w, out=counts[k, lo:hi])
+                counts[k, lo:hi] -= above
+            seen[k] += np.count_nonzero(pair[:n])
         lo = hi
     counts[np.array(gaps, dtype=np.int64) == 0] += xs >= 2
     return counts

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kempner import census, table
+from kempner import census, oracle, table
 from kempner.census import (
     PairCountQuery,
     count_pairs,
@@ -402,6 +402,42 @@ def test_sample_points_that_skip_segments_match_the_oracle(segment_size, xs):
         counts = sample_counts(xs, gaps)
     np.testing.assert_array_equal(counts[0], pair_counts_at(xs, gaps))
     np.testing.assert_array_equal(counts, sample_counts(np.arange(xs[-1] + 1), gaps)[:, :, xs])
+
+
+@pytest.mark.parametrize("size", [7, 63, 64, 65, 1000])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_packed_counts_at_word_and_segment_edges_match_a_plain_sieve(size, data):
+    # Both sides count each segment's hits by popcount over packed 64-bit
+    # words.  The xs fall on every segment and word edge of either side, over
+    # at least two segments of each; one gap is at least the segment size.
+    top = data.draw(st.integers(2 * size + 2, 6 * size + 130))
+    gaps = [0, 2, 6, size + size % 2 + 2 * data.draw(st.integers(0, 3))]
+    edges = {0, 1, 2, top}
+    for a in range(1, top + 1, size):  # the census's segment of j in [a, a + size - 1]
+        edges |= {a, a + size - 1} | {a + 64 * k + d for k in range(1, size // 64 + 2) for d in (-1, 0, 1)}
+    for k0 in range(0, (top + 1) // 2, size):  # the oracle's segment of odd 2k + 1, k from k0
+        starts = [k0] + [k0 + 64 * k for k in range(1, size // 64 + 2)] + [k0 + size]
+        edges |= {2 * k + d for k in starts for d in (-1, 0, 1)}
+    extra = data.draw(st.lists(st.integers(0, top), max_size=5))
+    xs = np.array(sorted(x for x in [*edges, *extra] if 0 <= x <= top))
+    prime = np.ones(top + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, int(top**0.5) + 1):
+        if prime[p]:
+            prime[p * p :: p] = False
+    want = np.empty((2, len(gaps), xs.size), dtype=np.int64)
+    for k, gap in enumerate(gaps):
+        hits = np.zeros(top + 1, dtype=bool)  # a pair is counted at its larger member
+        hits[gap:] = prime[gap:] & prime[: max(top + 1 - gap, 0)]
+        want[0, k] = np.cumsum(hits)[xs]
+        # The literal reading adds the j = 1 term: 1 for gap 0, else whether 1 + gap is prime.
+        term = 1 if gap == 0 else int(1 + gap <= top and prime[1 + gap])
+        want[1, k] = want[0, k] + term * (xs >= 1 + gap)
+    threads = data.draw(st.sampled_from([1, 2]))
+    with patch.object(table, "SEGMENT_SIZE", size), patch.object(oracle, "SEGMENT_SIZE", size):
+        np.testing.assert_array_equal(sample_counts(xs, gaps, threads=threads), want)
+        np.testing.assert_array_equal(pair_counts_at(xs, gaps), want[0])
 
 
 def test_literal_point_count_matches_sweep():

@@ -174,8 +174,8 @@ def test_oracle_footprint_at_a_million(traced_peak):
     sieve = sieve_primes(10**6)
     # pi(x) counts the odd flags in place: no dense copy of 10^6 bytes.
     assert traced_peak(lambda: oracle_pi(10**6, sieve))[1] < 10_000
-    # One pair mask of 500,000 bytes plus the ~8,200 twin pairs' larger
-    # members; an unpacked copy of the odd flags would add 500,000 more.
+    # One pair mask of 500,000 bytes plus its 62,500 bytes packed into words
+    # for the popcount; an unpacked copy of the odd flags would add 500,000 more.
     xs = np.arange(0, 10**6 + 1, 1000)
     assert traced_peak(lambda: pair_counts_at(xs, [2], sieve))[1] < 750_000
 
