@@ -25,8 +25,9 @@ from .table import iter_segments, write_cache
 _EXIT_MISMATCH = 1
 _EXIT_IO = 3
 
-# Largest sampled x grid `verify` accepts.  Its arrays take about 30 bytes
-# per point and gap, so about 30 MiB per gap at the limit.
+# Largest sampled x grid `verify` accepts.  Its arrays take about 24 bytes
+# per point and gap plus 50 per point: at the limit, a tracemalloc peak of
+# 73 MiB for one gap and 145 MiB for four (one thread, every x).
 MAX_VERIFY_POINTS = 1 << 20
 # Rows of CSV joined into one string per write: about 5 MB of row strings,
 # a fixed bound below a `table` segment's 2^19 rows.

@@ -137,9 +137,9 @@ def pair_counts_at(
         hi = int(np.searchsorted(ks, k0 + n, side="right"))
         # Each x in the segment counts the hits below its offset t: bit t % 64
         # of word t // 64 of the packed pair mask.
-        w = ks[lo:hi] - k0
-        bit = (w & 63).astype(np.uint8)
-        w >>= 6
+        bit = ks[lo:hi] - k0  # t, until its word is taken
+        w = bit >> 6
+        bit &= 63
         pair[n:] = False
         for k, tail in tails.items():
             # The pair at each flag ANDs it with the flag h places back: the
@@ -152,16 +152,17 @@ def pair_counts_at(
             if w.size:
                 # The popcounts of the packed words summed through t's word,
                 # less the hits from t's bit up; the padding word holds t = n.
-                # Per point, w, bit and one gathered word are held at once.
+                # Arrays of one entry per point keep 8-byte entries, as in
+                # the census: numpy caches freed arrays under 1 KiB, and
+                # uint8 ones of every size fragmented the heap.
                 words = np.packbits(pair[: n // 64 * 64 + 64], bitorder="little").view("<u8")
                 above = words[w]
-                above >>= bit
-                above = np.bitwise_count(above)
+                above >>= bit.view(np.uint64)
+                np.bitwise_count(above, out=above)
                 prefix = words.view(np.int64)
                 np.cumsum(np.bitwise_count(words, out=prefix), out=prefix)
                 prefix += seen[k]
-                np.take(prefix, w, out=counts[k, lo:hi])
-                counts[k, lo:hi] -= above
+                np.subtract(prefix[w], above.view(np.int64), out=counts[k, lo:hi])
             seen[k] += np.count_nonzero(pair[:n])
         lo = hi
     counts[np.array(gaps, dtype=np.int64) == 0] += xs >= 2
