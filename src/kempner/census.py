@@ -58,8 +58,8 @@ __all__ = [
 # points alone) -> larger member: 4 alone, and the pair (2, 4).  Each is one
 # spurious hit in every count that reaches its larger member.
 _COMPOSITE_HITS = {0: 4, 2: 4}
-# Entries of j per fixed-point compare in sample_counts: an arange of j held
-# beside each whole segment lifted verify's peak RSS.
+# Entries of j per fixed-point compare in sample_counts: a whole-segment
+# arange of j beside each segment raises verify's peak RSS.
 _COMPARE = 1 << 16
 # Largest trace_terms window: its rows are held in memory, about 150 bytes each.
 MAX_TRACE_ROWS = 1 << 20
@@ -152,9 +152,9 @@ class _Tally:
             # popcounts of the packed words summed through word t // 64, less
             # the hits from bit t % 64 up.  The padding word keeps t = n in
             # range.  Arrays of one entry per point keep 8-byte entries: numpy
-            # caches freed arrays under 1 KiB for reuse, and uint8 ones of
-            # every size below that left cached blocks across the heap, which
-            # raised verify's peak RSS by up to 6 MiB.
+            # caches freed arrays under 1 KiB for reuse, and uint8 ones, in
+            # every size below that, fragment the heap (up to 6 MiB more
+            # peak RSS over repeated verify runs).
             bit = self.xs[lo:hi] + (1 - a)  # t, until its word is taken
             w = bit >> 6
             bit &= 63

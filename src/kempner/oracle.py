@@ -152,9 +152,9 @@ def pair_counts_at(
             if w.size:
                 # The popcounts of the packed words summed through t's word,
                 # less the hits from t's bit up; the padding word holds t = n.
-                # Arrays of one entry per point keep 8-byte entries, as in
-                # the census: numpy caches freed arrays under 1 KiB, and
-                # uint8 ones of every size fragmented the heap.
+                # Arrays of one entry per point keep 8-byte entries: numpy
+                # caches freed arrays under 1 KiB, and uint8 ones, in every
+                # size below that, fragment the heap.
                 words = np.packbits(pair[: n // 64 * 64 + 64], bitorder="little").view("<u8")
                 above = words[w]
                 above >>= bit.view(np.uint64)
