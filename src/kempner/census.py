@@ -35,13 +35,14 @@ here reads :mod:`kempner.oracle`; only the CLI compares the two sides.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import KW_ONLY, dataclass
 from time import perf_counter
 
 import numpy as np
 
 from .core import Convention, _as_i64, _as_u64, _sample_points
-from .table import iter_segments, s_range
+from .table import iter_segments
 
 __all__ = [
     "CountReport",
@@ -58,11 +59,9 @@ __all__ = [
 # points alone) -> larger member: 4 alone, and the pair (2, 4).  Each is one
 # spurious hit in every count that reaches its larger member.
 _COMPOSITE_HITS = {0: 4, 2: 4}
-# Entries of j per fixed-point compare in sample_counts: a whole-segment
-# arange of j beside each segment raises verify's peak RSS.
+# Entries of j per fixed-point compare in sample_counts, and per list of S
+# values in trace_terms: a whole segment at once raises their peak RSS.
 _COMPARE = 1 << 16
-# Largest trace_terms window: its rows are held in memory, about 150 bytes each.
-MAX_TRACE_ROWS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -220,32 +219,32 @@ def trace_terms(
     query: PairCountQuery,
     window: tuple[int, int],
     conv: Convention = Convention.FORMULA_CONSISTENT,
-) -> list[tuple[int, int, int, int]]:
+) -> Iterator[tuple[int, int, int, int]]:
     """Term-by-term view of the pair summation over a window of j.
 
-    Returns rows (j, S(j), S(j + 2n), term) with S(1) set by ``conv`` and
-    the term computed by the literal floored division, so convention
-    anomalies (notably j = 1 under S(1) = 1) are visible rather than
-    masked.  S is computed over the window and over the window shifted by
-    2n only, so memory follows the window, not the gap; a window of more
-    than MAX_TRACE_ROWS rows raises ValueError before any S is computed.
+    The stream of rows (j, S(j), S(j + 2n), term), S(1) set by ``conv`` and
+    the term the literal floored division, so convention anomalies (notably
+    j = 1 under S(1) = 1) show rather than being masked.  Checked at the call,
+    1 <= lo <= hi <= min(2^64 - 1, x - 2n).  S is made as the rows are taken,
+    a segment of the window and of the window shifted by 2n at a time.
     """
     lo, hi = window
     lo = _as_u64(lo, "window lo", minimum=1)
-    hi = _as_u64(hi, "window hi")
-    if not lo <= hi < lo + MAX_TRACE_ROWS:
-        raise ValueError(f"window ({lo}, {hi}) must hold 1 to {MAX_TRACE_ROWS} rows")
-    if hi > query.x - query.gap:
-        raise ValueError(
-            f"window must lie within [1, {query.x - query.gap}] for x={query.x}, "
-            f"gap={query.gap}"
-        )
-    s_j = s_range(lo, hi, conv).values.tolist()
-    s_j2n = s_range(lo + query.gap, hi + query.gap, conv).values.tolist()
-    return [
-        (j, a, b, pair_term(j, query.half_gap, a, b))
-        for j, a, b in zip(range(lo, hi + 1), s_j, s_j2n)
-    ]
+    hi = _as_u64(hi, "window hi", minimum=lo)
+    gap = query.gap
+    if hi > query.x - gap:
+        raise ValueError(f"window must lie within [1, {query.x - gap}] for x={query.x}, gap={gap}")
+    # Both streams cut windows of one length at the same offsets: their segments pair up.
+    segments = zip(iter_segments(lo, hi, conv), iter_segments(lo + gap, hi + gap, conv))
+
+    def rows():
+        for (a, s_j), (_, s_j2n) in segments:
+            for i in range(0, s_j.size, _COMPARE):
+                pieces = s_j[i : i + _COMPARE].tolist(), s_j2n[i : i + _COMPARE].tolist()
+                for j, u, v in zip(range(a + i, a + i + _COMPARE), *pieces):
+                    yield j, u, v, pair_term(j, query.half_gap, u, v)
+
+    return rows()
 
 
 def sample_counts(xs: np.ndarray, gaps: list[int], *, threads: int = 1) -> np.ndarray:

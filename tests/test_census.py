@@ -1,6 +1,7 @@
 """Counting formulas: worked terms, oracle exactness, convention behavior."""
 
 import random
+from collections import deque
 from unittest.mock import patch
 
 import numpy as np
@@ -183,12 +184,12 @@ def test_count_primes_verify_and_sweep(sieve_100k):
 
 
 def test_trace_literal_rows_expose_j1_anomaly():
-    rows = trace_terms(PairCountQuery(20, 1), (1, 4), PAPER)
+    rows = list(trace_terms(PairCountQuery(20, 1), (1, 4), PAPER))
     assert rows == [(1, 1, 3, 1), (2, 2, 4, 1), (3, 3, 5, 1), (4, 4, 3, 0)]
 
 
 def test_trace_single_row_window():
-    rows = trace_terms(PairCountQuery(100, 1), (50, 50))
+    rows = list(trace_terms(PairCountQuery(100, 1), (50, 50)))
     assert len(rows) == 1
     assert rows[0][0] == 50
 
@@ -209,14 +210,17 @@ def test_trace_rejects_bad_windows():
         trace_terms(q, (95, 99))  # beyond x - 2n
 
 
-def test_trace_window_limit_before_any_s(monkeypatch):
-    monkeypatch.setattr(census, "MAX_TRACE_ROWS", 7)
-    monkeypatch.setattr(census, "s_range", lambda *args: pytest.fail("S computed"))
+def test_trace_checks_at_the_call_and_computes_s_as_rows_are_taken(monkeypatch):
     q = PairCountQuery(100, 1)
-    with pytest.raises(pytest.fail.Exception, match="S computed"):  # 7 rows pass the check
-        trace_terms(q, (3, 9))
-    with pytest.raises(ValueError, match="1 to 7 rows"):
-        trace_terms(q, (3, 10))
+    with monkeypatch.context() as m:
+        m.setattr(census, "iter_segments", lambda *args: pytest.fail("stream made"))
+        for window in ((9, 3), (0, 5), (95, 99), (1, 2**64)):
+            with pytest.raises(ValueError):
+                trace_terms(q, window)
+    monkeypatch.setattr(table, "_fill_segment", lambda *args: pytest.fail("S computed"))
+    rows = trace_terms(q, (3, 9))
+    with pytest.raises(pytest.fail.Exception, match="S computed"):
+        next(rows)
 
 
 def test_trace_sum_reproduces_count():
@@ -241,9 +245,39 @@ def test_trace_memory_follows_the_window_not_the_gap(traced_peak):
     # everything between them.  The tiles are built once per process; build
     # them first so the peak is the call's own.
     table._tiles()
-    rows, peak = traced_peak(lambda: trace_terms(PairCountQuery(2 * 10**6 + 10, 10**6), (1, 4)))
+    rows, peak = traced_peak(lambda: list(trace_terms(PairCountQuery(2 * 10**6 + 10, 10**6), (1, 4))))
     assert peak < 10**6
     assert [row[0] for row in rows] == [1, 2, 3, 4]
+
+
+def test_trace_rows_stream_in_about_one_segment(traced_peak):
+    # 2^18 rows held as a list take about 45 MB; streamed, one segment of
+    # each side and its rows' Python ints are held at a time.
+    table._tiles()
+    query = PairCountQuery((1 << 18) + 2, 1)
+    with patch.object(table, "SEGMENT_SIZE", 1 << 16):
+        _, peak = traced_peak(lambda: deque(trace_terms(query, (1, 1 << 18)), maxlen=0))
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("size", [7, 64, 1000])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_trace_rows_at_segment_edges_match_core_s(size, data):
+    # Each stream cuts its window into segments of `size`: the windows span
+    # three or more, and the gaps run from 2 to past two segment lengths.
+    conv = data.draw(st.sampled_from(list(Convention)))
+    half_gap = data.draw(st.integers(1, size + 1))
+    lo = data.draw(st.sampled_from([1, 2]) | st.integers(1, 2 * size))
+    hi = lo + data.draw(st.integers(2 * size + 1, 3 * size))
+    query = PairCountQuery(hi + 2 * half_gap + data.draw(st.integers(0, 3)), half_gap)
+    with patch.object(table, "SEGMENT_SIZE", size):
+        rows = list(trace_terms(query, (lo, hi), conv))
+    want = []
+    for j in range(lo, hi + 1):
+        s_j, s_j2n = s(j, conv), s(j + 2 * half_gap, conv)
+        want.append((j, s_j, s_j2n, pair_term(j, half_gap, s_j, s_j2n)))
+    assert rows == want
 
 
 # --- sweeps and cross-checks --------------------------------------------------

@@ -110,12 +110,6 @@ def test_twins_trace_bad_window(runner, no_work):
         assert_usage_error(runner.invoke(main, ["twins", "20", "--trace", window]))
 
 
-def test_twins_trace_window_limit(runner, monkeypatch):
-    monkeypatch.setattr(census, "MAX_TRACE_ROWS", 7)
-    assert invoke(runner, "twins", "30", "--trace", "3..9").output.splitlines()[-1] == "9,6,11,0"
-    assert_usage_error(runner.invoke(main, ["twins", "30", "--trace", "3..10"]))
-
-
 # --- pairs ----------------------------------------------------------------------
 
 
@@ -519,6 +513,17 @@ def test_verify_past_the_old_cap_in_bounded_memory():
         "2,5001,3000000000,1",  # 3 = 1 + 2 is prime: the j = 1 term counts from x = 3
         "total_mismatches,0",
     ]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_trace_of_over_a_million_rows_streams_in_bounded_memory():
+    # 1,099,998 rows, more than 2^20; they are made and written a segment at a time.
+    args = [sys.executable, "-c", _PEAK_AT_EXIT, "twins", "1100000", "--trace", "1..1099998"]
+    proc = subprocess.run(args, capture_output=True, env=child_env(), text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "1099998,2657,25,0"
+    peak = int(proc.stderr.split("VmHWM:")[1].split()[0])  # the peak of this child alone
+    assert peak < 100 * 1024  # KiB
 
 
 def test_oversized_verify_grid_rejected_before_any_work(runner, monkeypatch):
