@@ -245,7 +245,8 @@ def test_trace_memory_follows_the_window_not_the_gap(traced_peak):
     # everything between them.  The tiles are built once per process; build
     # them first so the peak is the call's own.
     table._tiles()
-    rows, peak = traced_peak(lambda: list(trace_terms(PairCountQuery(2 * 10**6 + 10, 10**6), (1, 4))))
+    query = PairCountQuery(2 * 10**6 + 10, 10**6)
+    rows, peak = traced_peak(lambda: list(trace_terms(query, (1, 4))))
     assert peak < 10**6
     assert [row[0] for row in rows] == [1, 2, 3, 4]
 
