@@ -22,10 +22,11 @@ demonstrated and reported rather than silently hidden.
 Every count reads one stream of fixed-point flags S(j) = j for j in
 [1, x], taken segment by segment from :func:`kempner.table.iter_segments`
 under FORMULA_CONSISTENT, where S(1) = 0 leaves j = 1 unset as both
-default readings do.  A pair counter carries the last 2n flags from one
-segment to the next, so memory is O(threads * SEGMENT_SIZE + 2n) rather
-than O(x), and one pass serves any number of gaps, each counted once for
-both readings.  The readings differ only in the j = 1 term: the literal
+default readings do.  Each gap carries its last 2n flags from one segment
+to the next, so memory is O(threads * SEGMENT_SIZE + 2n) rather than O(x),
+and one loop over the segments serves any number of gaps: each segment
+finds its sample points once, and each gap is counted once for both
+readings.  The readings differ only in the j = 1 term: the literal
 reading, where S(1) = 1 and the sum starts at j = 1, adds the term
 floor(S(1) S(1+2n) / (1+2n)) once x >= 1 + 2n.  That term is the
 fixed-point flag at 1 + 2n, read from the same stream (1 for gap 0, as
@@ -108,64 +109,12 @@ def pair_term(j: int, half_gap: int, s_j: int, s_j2n: int) -> int:
     half_gap = _as_u64(half_gap, "half_gap", minimum=1)
     s_j = _as_u64(s_j, "s_j")
     s_j2n = _as_u64(s_j2n, "s_j2n")
-    return (s_j * s_j2n) // (j * (j + 2 * half_gap))
+    return _term(j, 2 * half_gap, s_j, s_j2n)
 
 
-class _Tally:
-    """Fixed points (gap 0) or pairs (j, j + gap) of fixed points, counted as
-    the flag segments of [1, x] stream past, each hit at its larger member.
-
-    The flags are the default reading's, with j = 1 unset.  The last ``gap``
-    flags carry from one segment to the next, so a segment may be shorter
-    than the gap; no j <= 0 is a fixed point.  ``counts[i]`` is the number of
-    hits up to ``xs[i]`` (xs ascending).  A segment that holds sample points
-    reads their counts by popcount from its pair mask packed into uint64
-    words, so a feed of n flags holds one pair mask plus n/64 words.
-    ``term`` is the literal reading's j = 1 term, which it adds from
-    x = 1 + gap on: the flag at 1 + gap, or 1 for gap 0.
-    """
-
-    def __init__(self, gap: int, xs: np.ndarray) -> None:
-        self.gap, self.xs = gap, xs
-        self.tail = np.zeros(gap, dtype=bool)
-        self.counts = np.zeros(xs.size, dtype=np.int64)
-        self.seen = 0
-        self.term = int(gap == 0)
-
-    def feed(self, a: int, flags: np.ndarray) -> None:
-        n, gap = flags.size, self.gap
-        if gap and a <= 1 + gap < a + n:
-            self.term = int(flags[1 + gap - a])
-        # The pair at each flag ANDs it with the flag gap places back: the
-        # carried tail for the first m, the segment itself after them.  Zeros
-        # pad it to whole 64-bit words, at least one past the segment.
-        m = min(n, gap)
-        pair = np.empty(n // 64 * 64 + 64, dtype=bool)
-        pair[n:] = False
-        np.logical_and(self.tail[:m], flags[:m], out=pair[:m])
-        np.logical_and(flags[: n - m], flags[m:], out=pair[m:n])
-        self.tail = np.concatenate((self.tail[m:], flags[n - m :]))
-        lo, hi = np.searchsorted(self.xs, (a, a + n))
-        if hi > lo:
-            # The hits below offset t = x + 1 - a of each sample point x: the
-            # popcounts of the packed words summed through word t // 64, less
-            # the hits from bit t % 64 up.  The padding word keeps t = n in
-            # range.  Arrays of one entry per point keep 8-byte entries: numpy
-            # caches freed arrays under 1 KiB for reuse, and uint8 ones, in
-            # every size below that, fragment the heap (up to 6 MiB more
-            # peak RSS over repeated verify runs).
-            bit = self.xs[lo:hi] + (1 - a)  # t, until its word is taken
-            w = bit >> 6
-            bit &= 63
-            words = np.packbits(pair, bitorder="little").view("<u8")
-            above = words[w]
-            above >>= bit.view(np.uint64)
-            np.bitwise_count(above, out=above)
-            prefix = words.view(np.int64)
-            np.cumsum(np.bitwise_count(words, out=prefix), out=prefix)
-            prefix += self.seen
-            np.subtract(prefix[w], above.view(np.int64), out=self.counts[lo:hi])
-        self.seen += np.count_nonzero(pair)
+def _term(j: int, gap: int, s_j: int, s_j2n: int) -> int:
+    """floor(S(j) S(j+gap) / (j (j+gap))) of Python ints, unchecked."""
+    return (s_j * s_j2n) // (j * (j + gap))
 
 
 def _count(x: int, gap: int, literal: bool, threads: int) -> CountReport:
@@ -242,7 +191,7 @@ def trace_terms(
             for i in range(0, s_j.size, _COMPARE):
                 pieces = s_j[i : i + _COMPARE].tolist(), s_j2n[i : i + _COMPARE].tolist()
                 for j, u, v in zip(range(a + i, a + i + _COMPARE), *pieces):
-                    yield j, u, v, pair_term(j, query.half_gap, u, v)
+                    yield j, u, v, _term(j, gap, u, v)
 
     return rows()
 
@@ -253,32 +202,72 @@ def sample_counts(xs: np.ndarray, gaps: list[int], *, threads: int = 1) -> np.nd
     ``counts[r, k, i]`` is the count at x = xs[i] of gap 2n = gaps[k] pairs
     as :func:`count_pairs` gives it with ``literal=bool(r)``: row 0 is the
     default reading and row 1 the literal one.  Gap 0 counts primes as
-    :func:`count_primes` does.  One tally per gap serves both readings: the
-    literal count is the default count plus the j = 1 term, the flag at
+    :func:`count_primes` does.  Each gap is counted once for both readings:
+    the literal count is the default count plus the j = 1 term, the flag at
     1 + 2n read from the stream, from x = 1 + 2n on.  ``xs = np.arange(x + 1)``
     gives every count up to x.  xs and the gaps are checked by
     :func:`kempner.core._sample_points`, as for :func:`kempner.oracle.pair_counts_at`.
     """
     xs, gaps = _sample_points(xs, gaps)
     top = int(xs[-1]) if xs.size else 0
-    segments = iter_segments(1, max(top, 1), Convention.FORMULA_CONSISTENT, threads=threads)
     # No pair up to top has a gap of top or more, so such a gap counts as top
-    # does and carries no more than top flags; its term lies past top.
-    tallies = [_Tally(min(gap, top), xs) for gap in gaps]
-    if top:  # one pass over S feeds the flags of j in [1, top]; S(1) = 0 leaves j = 1 unset
-        for a, values in segments:
-            # S(j) = j, compared against j in pieces of at most _COMPARE entries.
-            flags = np.empty(values.size, dtype=bool)
-            for i in range(0, values.size, _COMPARE):
-                piece = values[i : i + _COMPARE]
-                j = np.arange(a + i, a + i + piece.size, dtype=values.dtype)
-                np.equal(piece, j, out=flags[i : i + piece.size])
-            for tally in tallies:
-                tally.feed(a, flags)
-    counts = np.empty((2, len(gaps), xs.size), dtype=np.int64)
-    for k, (gap, tally) in enumerate(zip(gaps, tallies)):
-        counts[:, k] = tally.counts
-        counts[1, k] += tally.term * (xs >= 1 + tally.gap)
+    # does and carries no more than top flags; its term lies past top.  Per
+    # gap: the flags carried, the hits before the segment and the j = 1 term.
+    tails = [np.zeros(min(gap, top), dtype=bool) for gap in gaps]
+    seen = [0] * len(gaps)
+    terms = [int(gap == 0) for gap in gaps]
+    counts = np.zeros((2, len(gaps), xs.size), dtype=np.int64)
+    lo = 0
+    segments = iter_segments(1, max(top, 1), Convention.FORMULA_CONSISTENT, threads=threads)
+    # One pass over S reads the flags of j in [1, top]; S(1) = 0 leaves j = 1 unset.
+    for a, values in segments if top else ():
+        n = values.size
+        # S(j) = j, compared against j in pieces of at most _COMPARE entries.
+        flags = np.empty(n, dtype=bool)
+        for i in range(0, n, _COMPARE):
+            piece = values[i : i + _COMPARE]
+            j = np.arange(a + i, a + i + piece.size, dtype=values.dtype)
+            np.equal(piece, j, out=flags[i : i + piece.size])
+        # Each x in the segment counts the hits below its offset t = x + 1 - a:
+        # bit t % 64 of word t // 64 of a gap's packed pair mask.
+        hi = int(np.searchsorted(xs, a + n))
+        bit = xs[lo:hi] + (1 - a)  # t, until its word is taken
+        w = bit >> 6
+        bit &= 63
+        for k, tail in enumerate(tails):
+            h, m = tail.size, min(n, tail.size)
+            if h and a <= 1 + h < a + n:
+                terms[k] = int(flags[1 + h - a])
+            # The pair at each flag ANDs it with the flag h places back: the
+            # carried tail for the first m, the segment itself after them.  Zeros
+            # pad it to whole 64-bit words, at least one past the segment.
+            pair = np.empty(n // 64 * 64 + 64, dtype=bool)
+            pair[n:] = False
+            np.logical_and(tail[:m], flags[:m], out=pair[:m])
+            np.logical_and(flags[: n - m], flags[m:], out=pair[m:n])
+            tail[: h - m] = tail[m:]
+            tail[h - m :] = flags[n - m :]
+            if w.size:
+                # The popcounts of the packed words summed through t's word,
+                # less the hits from t's bit up; the padding word holds t = n.
+                # Arrays of one entry per point keep 8-byte entries: numpy
+                # caches freed arrays under 1 KiB for reuse, and uint8 ones, in
+                # every size below that, fragment the heap (up to 6 MiB more
+                # peak RSS over repeated verify runs).
+                words = np.packbits(pair, bitorder="little").view("<u8")
+                above = words[w]
+                above >>= bit.view(np.uint64)
+                np.bitwise_count(above, out=above)
+                prefix = words.view(np.int64)
+                np.cumsum(np.bitwise_count(words, out=prefix), out=prefix)
+                prefix += seen[k]
+                np.subtract(prefix[w], above.view(np.int64), out=counts[0, k, lo:hi])
+            seen[k] += np.count_nonzero(pair)
+            del pair  # freed before the next segment is taken
+        lo = hi
+    counts[1] = counts[0]
+    for k, (gap, tail) in enumerate(zip(gaps, tails)):
+        counts[1, k] += terms[k] * (xs >= 1 + tail.size)
         if gap in _COMPOSITE_HITS:
             counts[:, k] -= xs >= _COMPOSITE_HITS[gap]
     return counts

@@ -141,7 +141,7 @@ def twins(x: int, verify: bool, window: tuple[int, int] | None, threads: int) ->
     try:  # trace_terms checks the window before the count and makes its rows after it
         rows = window and census.trace_terms(census.PairCountQuery(x, 1), window)
     except ValueError as exc:
-        raise click.BadParameter(str(exc), param_hint="--trace")
+        raise click.BadParameter(str(exc), param_hint=["--trace"])
     count = census.count_twin(x, threads=threads).formula_count
     _echo_count("x,t2", (x,), count, oracle.oracle_pair_count(x, 1) if verify else None)
     if rows:
@@ -184,7 +184,7 @@ def cmd_pi(x: int, verify: bool, threads: int) -> None:
 def table(lo: int, hi: int, out_path: str | None, fmt: str, convention: str, threads: int) -> None:
     """Tabulate S(n) for n in [LO, HI] as CSV or a binary cache file."""
     if hi < lo:
-        raise click.BadParameter(f"need LO <= HI, got [{lo}, {hi}]", param_hint="lo/hi")
+        raise click.BadParameter(f"need LO <= HI, got [{lo}, {hi}]", param_hint=["LO", "HI"])
     conv = Convention(convention)
     if fmt == "csv":
         def pieces():  # lazy, so _write opens --out before any work; no piece spans two segments
@@ -229,7 +229,7 @@ def verify(max_x: int, gap_list: list[int], step: int, threads: int) -> None:
         raise click.BadParameter(
             f"the sampled x grid has {len(grid) + add_max_x} points, over the "
             f"limit of {MAX_VERIFY_POINTS}; raise --step",
-            param_hint="--step",
+            param_hint=["--step"],
         )
     xs = np.arange(2, max_x + 1, step, dtype=np.int64)
     if add_max_x:

@@ -406,15 +406,13 @@ def test_literal_counts_are_the_plain_sum_from_one(case):
             assert got[k, i] == sum(terms) - composite, (gap, x)
 
 
-def test_one_tally_per_gap_serves_both_readings(monkeypatch):
-    feeds = []
-    feed = census._Tally.feed
-    monkeypatch.setattr(census._Tally, "feed", lambda self, a, flags: feeds.append(a) or feed(self, a, flags))
+def test_one_pass_over_s_serves_every_gap_and_both_readings(monkeypatch):
+    fills = []
+    fill = table._fill_segment
+    monkeypatch.setattr(table, "_fill_segment", lambda dest, a, b, base: fills.append(a) or fill(dest, a, b, base))
     with patch.object(table, "SEGMENT_SIZE", 64):
         counts = sample_counts(np.arange(1001), [2, 4, 8, 14])
-    segments = -(-1000 // 64)
-    assert len(feeds) == 4 * segments
-    assert sorted(set(feeds)) == list(range(1, 1001, 64))
+    assert sorted(fills) == list(range(1, 1001, 64))  # 16 segments, each filled once for four gaps
     truth = pair_counts_at(np.arange(1001), [2, 4, 8, 14])
     literal_term = np.array([[1], [1], [0], [0]]) * (np.arange(1001) >= [[3], [5], [9], [15]])
     np.testing.assert_array_equal(counts, [truth, truth + literal_term])
@@ -500,6 +498,15 @@ def test_sample_points_must_ascend_from_zero():
     for xs in ([2**63], [5, 2**64 - 1]):  # the int64 cast once wrapped these negative
         with pytest.raises(ValueError, match=r"max\(xs\) must be below 2\^63"):
             sample_counts(np.array(xs, dtype=np.uint64), [2])
+
+
+def test_many_gaps_share_the_sample_points_memory(traced_peak):
+    # The counts go straight into the result: with four gaps the peak is
+    # the xs, the result and the point lookups of a segment, under 96 MiB.
+    xs = np.arange(2, 2**20 + 2)
+    counts, peak = traced_peak(lambda: sample_counts(xs, [2, 4, 6, 8]))
+    assert peak < 96 << 20
+    assert counts[0, :, -1].tolist() == pair_counts_at(xs[-1:], [2, 4, 6, 8])[:, 0].tolist()
 
 
 def test_gaps_past_x_count_zero_without_holding_gap_flags(traced_peak):

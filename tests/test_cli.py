@@ -107,7 +107,9 @@ def test_twins_trace_rows(runner):
 def test_twins_trace_bad_window(runner, no_work):
     # Each is rejected before the count starts; 1..19 passes x - 2 = 18.
     for window in ("9..3", "zap", "0..3", "1..19", "1..2..3", f"1..{2**64}"):
-        assert_usage_error(runner.invoke(main, ["twins", "20", "--trace", window]))
+        result = runner.invoke(main, ["twins", "20", "--trace", window])
+        assert_usage_error(result)
+        assert "Invalid value for '--trace'" in result.output
 
 
 # --- pairs ----------------------------------------------------------------------
@@ -195,7 +197,9 @@ def test_table_cache_default_is_the_working_directory(runner, tmp_path, monkeypa
 
 
 def test_table_bad_range(runner):
-    assert runner.invoke(main, ["table", "10", "5"]).exit_code == 2
+    result = runner.invoke(main, ["table", "10", "5"])
+    assert result.exit_code == 2
+    assert "Invalid value for 'LO' / 'HI'" in result.output
     assert runner.invoke(main, ["table", "0", "5"]).exit_code == 2
 
 
@@ -535,7 +539,7 @@ def test_oversized_verify_grid_rejected_before_any_work(runner, monkeypatch):
     monkeypatch.setattr(census, "iter_segments", no_work)
     result = runner.invoke(main, ["verify", "--max-x", "2000000000", "--step", "1"])
     assert result.exit_code == 2
-    assert "sampled x grid" in result.output
+    assert "Invalid value for '--step': the sampled x grid" in result.output
 
 
 def test_verify_grid_limit_counts_the_forced_max_x(runner, monkeypatch):
