@@ -22,13 +22,13 @@ demonstrated and reported rather than silently hidden.
 Every count reads one stream of fixed-point flags S(j) = j for j in
 [1, x], taken segment by segment from :func:`kempner.table.iter_segments`
 under FORMULA_CONSISTENT, where S(1) = 0 leaves j = 1 unset as both
-default readings do.  Each gap carries its last 2n flags from one segment
-to the next, so memory is O(threads * SEGMENT_SIZE + 2n) rather than O(x),
-and one loop over the segments serves any number of gaps: each segment
-finds its sample points once, and each gap is counted once for both
-readings.  The readings differ only in the j = 1 term: the literal
-reading, where S(1) = 1 and the sum starts at j = 1, adds the term
-floor(S(1) S(1+2n) / (1+2n)) once x >= 1 + 2n.  That term is the
+default readings do.  One loop over the segments serves every gap: a
+segment packs its flags into 64-bit words once, behind the last flags up
+to the largest gap, so each gap reads its pairs as a word shift, and it
+finds its sample points once.  Memory is O(threads * SEGMENT_SIZE + max
+gap), not O(x).  Each gap is counted once for both readings, which differ
+only in the j = 1 term: the literal reading, where S(1) = 1 and the sum
+starts at j = 1, adds floor(S(1) S(1+2n) / (1+2n)) once x >= 1 + 2n, the
 fixed-point flag at 1 + 2n, read from the same stream (1 for gap 0, as
 S(1) = 1 is a fixed point).  All arithmetic is exact integers.  Nothing
 here reads :mod:`kempner.oracle`; only the CLI compares the two sides.
@@ -211,63 +211,62 @@ def sample_counts(xs: np.ndarray, gaps: list[int], *, threads: int = 1) -> np.nd
     xs, gaps = _sample_points(xs, gaps)
     top = int(xs[-1]) if xs.size else 0
     # No pair up to top has a gap of top or more, so such a gap counts as top
-    # does and carries no more than top flags; its term lies past top.  Per
-    # gap: the flags carried, the hits before the segment and the j = 1 term.
-    tails = [np.zeros(min(gap, top), dtype=bool) for gap in gaps]
+    # does and reads no flag more than top back; its term lies past top.  The
+    # window: the last 64s flags (zeros before j = 1), a word more than any gap
+    # reads back, then the segment's, zero-padded to whole words and one more.
+    shifts = [min(gap, top) for gap in gaps]
+    s = (max(shifts, default=0) + 127) // 64
     seen = [0] * len(gaps)
-    terms = [int(gap == 0) for gap in gaps]
+    terms = [int(gap == 0) for gap in gaps]  # the j = 1 term
     counts = np.zeros((2, len(gaps), xs.size), dtype=np.int64)
     lo = 0
     segments = iter_segments(1, max(top, 1), Convention.FORMULA_CONSISTENT, threads=threads)
     # One pass over S reads the flags of j in [1, top]; S(1) = 0 leaves j = 1 unset.
     for a, values in segments if top else ():
         n = values.size
+        if a == 1:  # the first segment is the longest
+            window = np.zeros(64 * (s + n // 64 + 1), dtype=bool)
         # S(j) = j, compared against j in pieces of at most _COMPARE entries.
-        flags = np.empty(n, dtype=bool)
+        flags = window[64 * s : 64 * s + n]
         for i in range(0, n, _COMPARE):
             piece = values[i : i + _COMPARE]
             j = np.arange(a + i, a + i + piece.size, dtype=values.dtype)
             np.equal(piece, j, out=flags[i : i + piece.size])
+        window[64 * s + n :] = False
+        words = np.packbits(window, bitorder="little").view("<u8")
         # Each x in the segment counts the hits below its offset t = x + 1 - a:
-        # bit t % 64 of word t // 64 of a gap's packed pair mask.
+        # bit t % 64 of word t // 64 of a gap's pair words.
         hi = int(np.searchsorted(xs, a + n))
         bit = xs[lo:hi] + (1 - a)  # t, until its word is taken
         w = bit >> 6
         bit &= 63
-        for k, tail in enumerate(tails):
-            h, m = tail.size, min(n, tail.size)
+        for k, h in enumerate(shifts):
             if h and a <= 1 + h < a + n:
                 terms[k] = int(flags[1 + h - a])
-            # The pair at each flag ANDs it with the flag h places back: the
-            # carried tail for the first m, the segment itself after them.  Zeros
-            # pad it to whole 64-bit words, at least one past the segment.
-            pair = np.empty(n // 64 * 64 + 64, dtype=bool)
-            pair[n:] = False
-            np.logical_and(tail[:m], flags[:m], out=pair[:m])
-            np.logical_and(flags[: n - m], flags[m:], out=pair[m:n])
-            tail[: h - m] = tail[m:]
-            tail[h - m :] = flags[n - m :]
-            if w.size:
-                # The popcounts of the packed words summed through t's word,
-                # less the hits from t's bit up; the padding word holds t = n.
-                # Arrays of one entry per point keep 8-byte entries: numpy
-                # caches freed arrays under 1 KiB for reuse, and uint8 ones, in
-                # every size below that, fragment the heap (up to 6 MiB more
-                # peak RSS over repeated verify runs).
-                words = np.packbits(pair, bitorder="little").view("<u8")
-                above = words[w]
-                above >>= bit.view(np.uint64)
-                np.bitwise_count(above, out=above)
-                prefix = words.view(np.int64)
-                np.cumsum(np.bitwise_count(words, out=prefix), out=prefix)
-                prefix += seen[k]
-                np.subtract(prefix[w], above.view(np.int64), out=counts[0, k, lo:hi])
-            seen[k] += np.count_nonzero(pair)
-            del pair  # freed before the next segment is taken
+            # The pair at each flag ANDs it with the flag h = 64q + r back: the
+            # words q and q + 1 back, shifted (numpy gives 0 for a shift by 64).
+            q, r = h >> 6, h & 63
+            pair = words[s - q - 1 : words.size - q - 1] >> (64 - r)
+            pair |= words[s - q : words.size - q] << r
+            pair &= words[s:]
+            # The popcounts of the pair words summed through t's word, less
+            # the hits from t's bit up; the padding word holds t = n.
+            # Arrays of one entry per point keep 8-byte entries: numpy
+            # caches freed arrays under 1 KiB for reuse, and uint8 ones, in
+            # every size below that, fragment the heap (up to 6 MiB more
+            # peak RSS over repeated verify runs).
+            above = pair[w]
+            np.bitwise_count(np.right_shift(above, bit.view(np.uint64), out=above), out=above)
+            prefix = pair.view(np.int64)
+            np.cumsum(np.bitwise_count(pair, out=prefix), out=prefix)
+            prefix += seen[k]
+            np.subtract(prefix[w], above.view(np.int64), out=counts[0, k, lo:hi])
+            seen[k] = int(prefix[-1])
+        window[: 64 * s] = window[n : 64 * s + n]
         lo = hi
     counts[1] = counts[0]
-    for k, (gap, tail) in enumerate(zip(gaps, tails)):
-        counts[1, k] += terms[k] * (xs >= 1 + tail.size)
+    for k, (gap, h) in enumerate(zip(gaps, shifts)):
+        counts[1, k] += terms[k] * (xs >= 1 + h)
         if gap in _COMPOSITE_HITS:
             counts[:, k] -= xs >= _COMPOSITE_HITS[gap]
     return counts

@@ -25,9 +25,9 @@ from .table import iter_segments, write_cache
 _EXIT_MISMATCH = 1
 _EXIT_IO = 3
 
-# Largest sampled x grid `verify` accepts.  Its arrays take about 24 bytes
-# per point and gap plus 50 per point: at the limit, a tracemalloc peak of
-# 73 MiB for one gap and 145 MiB for four (one thread, every x).
+# Largest sampled x grid `verify` accepts.  Its arrays take about 23 bytes
+# per point and gap plus 54 per point: at the limit, a tracemalloc peak of
+# 77 MiB for one gap and 145 MiB for four (one thread, every x).
 MAX_VERIFY_POINTS = 1 << 20
 # Rows of CSV joined into one string per write: about 5 MB of row strings,
 # a fixed bound below a `table` segment's 2^19 rows.

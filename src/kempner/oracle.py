@@ -112,13 +112,12 @@ def pair_counts_at(
     for gap 0 the primes p <= xs[i], i.e. pi(xs[i]).
 
     Both members of a pair are odd, as the gap is even, so one pass over
-    the streamed segments pairs odd k with k + gap/2, each gap carrying its
-    last gap/2 flags (none when no pair fits under xs[-1]) from segment to
-    segment; gap 0 counts the flags and adds the prime 2 from x = 2 on.
-    In a segment that holds sample points, each gap's counts there are read
-    by popcount from its pair mask packed into uint64 words, so per gap a
-    segment holds one pair mask plus n/64 words.  Memory is
-    O(SEGMENT_SIZE + gaps + pi(sqrt(xs[-1]))) besides the xs.
+    the streamed segments pairs odd k with k + h, h = gap/2 capped at the
+    (xs[-1] + 1) // 2 odd numbers; gap 0 counts the flags and adds the prime
+    2 from x = 2 on.  Each segment is packed once into uint64 words behind
+    the last max(h) flags or more, one window for all gaps, and each gap's
+    counts are read by popcount from the words ANDed with themselves h back.
+    Memory is O(SEGMENT_SIZE + max(h) + gaps + pi(sqrt(xs[-1]))) besides the xs.
     The xs and gaps are checked before any sieving by
     :func:`kempner.core._sample_points`, as for :func:`kempner.census.sample_counts`.
     """
@@ -126,44 +125,45 @@ def pair_counts_at(
     max_x = int(xs[-1]) if xs.size else 0
     ks = (xs + 1) // 2  # each x counts the hits at odd index k < ks
     n_odd = (max_x + 1) // 2
-    tails = {k: np.zeros(gap // 2, dtype=bool) for k, gap in enumerate(gaps) if gap // 2 < n_odd}
-    seen = dict.fromkeys(tails, 0)
+    # The window: the last 64s flags (zeros before k = 0), a word more than any
+    # gap reads back, then the segment's, zero-padded to whole words and one more.
+    shifts = [min(gap // 2, n_odd) for gap in gaps]
+    s = (max(shifts, default=0) + 127) // 64
+    window = np.zeros(64 * (s + min(SEGMENT_SIZE, n_odd) // 64 + 1), dtype=bool)
+    seen = [0] * len(gaps)
     counts = np.zeros((len(gaps), xs.size), dtype=np.int64)
-    # Zeros pad the pair mask to whole 64-bit words, at least one past a segment.
-    pair = np.zeros(min(SEGMENT_SIZE, n_odd) // 64 * 64 + 64, dtype=bool)
     lo = 0
     for k0, seg in _segments(max_x, sieve):
         n = seg.size
+        window[64 * s : 64 * s + n] = seg
+        window[64 * s + n :] = False
+        words = np.packbits(window, bitorder="little").view("<u8")
         hi = int(np.searchsorted(ks, k0 + n, side="right"))
         # Each x in the segment counts the hits below its offset t: bit t % 64
-        # of word t // 64 of the packed pair mask.
+        # of word t // 64 of a gap's pair words.
         bit = ks[lo:hi] - k0  # t, until its word is taken
         w = bit >> 6
         bit &= 63
-        pair[n:] = False
-        for k, tail in tails.items():
-            # The pair at each flag ANDs it with the flag h places back: the
-            # carried tail for the first m, the segment itself after them.
-            h, m = tail.size, min(n, tail.size)
-            np.logical_and(tail[:m], seg[:m], out=pair[:m])
-            np.logical_and(seg[: n - m], seg[m:n], out=pair[m:n])
-            tail[: h - m] = tail[m:]
-            tail[h - m :] = seg[n - m :]
-            if w.size:
-                # The popcounts of the packed words summed through t's word,
-                # less the hits from t's bit up; the padding word holds t = n.
-                # Arrays of one entry per point keep 8-byte entries: numpy
-                # caches freed arrays under 1 KiB, and uint8 ones, in every
-                # size below that, fragment the heap.
-                words = np.packbits(pair[: n // 64 * 64 + 64], bitorder="little").view("<u8")
-                above = words[w]
-                above >>= bit.view(np.uint64)
-                np.bitwise_count(above, out=above)
-                prefix = words.view(np.int64)
-                np.cumsum(np.bitwise_count(words, out=prefix), out=prefix)
-                prefix += seen[k]
-                np.subtract(prefix[w], above.view(np.int64), out=counts[k, lo:hi])
-            seen[k] += np.count_nonzero(pair[:n])
+        for k, h in enumerate(shifts):
+            # The pair at each flag ANDs it with the flag h = 64q + r back: the
+            # words q and q + 1 back, shifted (numpy gives 0 for a shift by 64).
+            q, r = h >> 6, h & 63
+            pair = words[s - q - 1 : words.size - q - 1] >> (64 - r)
+            pair |= words[s - q : words.size - q] << r
+            pair &= words[s:]
+            # The popcounts of the pair words summed through t's word, less
+            # the hits from t's bit up; the padding word holds t = n.
+            # Arrays of one entry per point keep 8-byte entries: numpy
+            # caches freed arrays under 1 KiB, and uint8 ones, in every
+            # size below that, fragment the heap.
+            above = pair[w]
+            np.bitwise_count(np.right_shift(above, bit.view(np.uint64), out=above), out=above)
+            prefix = pair.view(np.int64)
+            np.cumsum(np.bitwise_count(pair, out=prefix), out=prefix)
+            prefix += seen[k]
+            np.subtract(prefix[w], above.view(np.int64), out=counts[k, lo:hi])
+            seen[k] = int(prefix[-1])
+        window[: 64 * s] = window[n : 64 * s + n]
         lo = hi
     counts[np.array(gaps, dtype=np.int64) == 0] += xs >= 2
     return counts

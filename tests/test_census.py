@@ -443,9 +443,10 @@ def test_sample_points_that_skip_segments_match_the_oracle(segment_size, xs):
 def test_packed_counts_at_word_and_segment_edges_match_a_plain_sieve(size, data):
     # Both sides count each segment's hits by popcount over packed 64-bit
     # words.  The xs fall on every segment and word edge of either side, over
-    # at least two segments of each; one gap is at least the segment size.
+    # at least two segments of each; one gap is at least the segment size, and
+    # 64, 128 and 130 shift by whole words (the oracle by half the gap).
     top = data.draw(st.integers(2 * size + 2, 6 * size + 130))
-    gaps = [0, 2, 6, size + size % 2 + 2 * data.draw(st.integers(0, 3))]
+    gaps = [0, 2, 6, 64, 128, 130, size + size % 2 + 2 * data.draw(st.integers(0, 3))]
     edges = {0, 1, 2, top}
     for a in range(1, top + 1, size):  # the census's segment of j in [a, a + size - 1]
         edges |= {a, a + size - 1} | {a + 64 * k + d for k in range(1, size // 64 + 2) for d in (-1, 0, 1)}
@@ -507,6 +508,18 @@ def test_many_gaps_share_the_sample_points_memory(traced_peak):
     counts, peak = traced_peak(lambda: sample_counts(xs, [2, 4, 6, 8]))
     assert peak < 96 << 20
     assert counts[0, :, -1].tolist() == pair_counts_at(xs[-1:], [2, 4, 6, 8])[:, 0].tolist()
+
+
+def test_one_flag_window_follows_the_largest_gap_not_their_sum(traced_peak):
+    # Each side holds one window of the last flags up to its largest gap: a
+    # copy of them per gap would peak near 200 MiB here, and near 100 MiB on
+    # the oracle's odd-only side.
+    xs, gaps = np.array([10**6]), list(range(200_000, 202_000, 2))
+    counts, peak = traced_peak(lambda: sample_counts(xs, gaps))
+    assert peak < 32 << 20
+    odd_counts, peak = traced_peak(lambda: pair_counts_at(xs, gaps))
+    assert peak < 16 << 20
+    np.testing.assert_array_equal(counts[0], odd_counts)
 
 
 def test_gaps_past_x_count_zero_without_holding_gap_flags(traced_peak):
